@@ -18,10 +18,12 @@ from .modnt import (
     Mat,
     SubgroupG,
     det_image,
+    generated_orbit,
     mat_inv,
     mat_mul,
     mat_neg,
     mat_vec,
+    minus_identity_mat,
     sl2_order,
 )
 
@@ -195,30 +197,18 @@ def galois_orbits(G: SubgroupG) -> List[CuspOrbit]:
         )
     cusps, member_of = _cusp_data(G)
     n = G.n
-    gens = list(G.generator_mats())
-    gens.append(mat_neg((1, 0, 0, 1), n))
+    gens = G.generator_mats() + (minus_identity_mat(n),)
 
-    orbit_of: Dict[int, int] = {}
+    def act(g: Mat, i: int) -> int:
+        return member_of[canonical_class(mat_vec(g, cusps[i].rep, n), n)]
+
+    seen: Set[int] = set()
     orbits: List[List[int]] = []
     for start in range(len(cusps)):
-        if start in orbit_of:
-            continue
-        oid = len(orbits)
-        frontier = [start]
-        orbit_of[start] = oid
-        members = [start]
-        while frontier:
-            nxt: List[int] = []
-            for i in frontier:
-                rep = cusps[i].rep
-                for g in gens:
-                    j = member_of[canonical_class(mat_vec(g, rep, n), n)]
-                    if j not in orbit_of:
-                        orbit_of[j] = oid
-                        members.append(j)
-                        nxt.append(j)
-            frontier = nxt
-        orbits.append(sorted(members))
+        if start not in seen:
+            members = generated_orbit(start, gens, act)
+            seen.update(members)
+            orbits.append(sorted(members))
 
     result = [CuspOrbit(members=tuple(cusps[i] for i in ms)) for ms in orbits]
     assert sum(o.degree for o in result) == len(cusps)

@@ -1,14 +1,18 @@
 """Exact 2x2 matrix arithmetic over Z/N and enumerated subgroups of GL2(Z/N).
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
-Subgroups store their complete element set, so every downstream sum over G
-is exact; feasibility is protected by hard caps on modulus and order.
+Subgroups store their complete element set, which gives |G| and G meet SL2;
+the determinant image and the orbits that downstream sums over G reduce to
+are found breadth-first from the generators, exact by orbit-stabilizer.
+Feasibility is protected by hard caps on modulus and order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 from .errors import ModulusMismatch, NonInvertibleGenerator, UnsupportedModulus
 
@@ -78,6 +82,27 @@ def vec_mat(v: Tuple[int, int], m: Mat, n: int) -> Tuple[int, int]:
     return ((v[0] * m[0] + v[1] * m[2]) % n, (v[0] * m[1] + v[1] * m[3]) % n)
 
 
+T = TypeVar("T")
+
+
+def generated_orbit(seed: T, gens: Collection, act: Callable[..., T]) -> List[T]:
+    """Orbit of `seed` under the group generated by `gens`, breadth-first.
+
+    act(g, x) is the action of one generator.  In a finite group every
+    inverse is a positive power, so the generators alone reach the whole
+    orbit.
+    """
+    seen = {seed}
+    out = [seed]
+    for x in out:
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def identity_mat() -> Mat:
     return (1, 0, 0, 1)
 
@@ -131,9 +156,10 @@ class ResidueMatrix:
 class SubgroupG:
     """A subgroup of GL2(Z/N) with its full element set enumerated.
 
-    `elements` holds raw 4-tuples for cheap hashing in the hot loops; the
-    `generators` are kept as ResidueMatrix values for display and for
-    orbit searches that only need a generating set.
+    Invariant: `generators` generate `elements`.  `elements` holds raw
+    4-tuples and gives |G| and G meet SL2; the generators, kept as
+    ResidueMatrix values, drive the determinant image and every orbit
+    search (Galois orbits, trace columns, column classes).
     """
 
     n: int
@@ -471,9 +497,14 @@ _PRESET_LONG = {short: long for long, short in _PRESET_SHORT.items()}
 
 
 def det_image(G: SubgroupG) -> DetImage:
-    """Image of G under det, as a subset of (Z/N)^*."""
+    """Image of G under det, as a subset of (Z/N)^*.
+
+    det is a homomorphism, so the image is the subgroup generated by the
+    determinants of the generators.
+    """
     n = G.n
-    residues = frozenset(mat_det(m, n) for m in G.elements)
+    dets = {mat_det(g, n) for g in G.generator_mats()}
+    residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
     return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
 
 

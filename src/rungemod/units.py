@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import CuspClass, CuspOrbit, galois_orbits, runge_condition
+from .cusps import CuspClass, CuspOrbit, Vec, galois_orbits, runge_condition
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -22,7 +22,7 @@ from .errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from .modnt import Mat, SubgroupG, det_image
+from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_vec, minus_identity_mat, vec_mat
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,29 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
     if a.n != n or c.n != n:
         raise ModulusMismatch(f"expected modulus {n}, got a mod {a.n}, cusp mod {c.n}")
     # only the first column of the lift enters the row-vector product
-    x = (a.a1 * c.lift[0] + a.a2 * c.lift[2]) % n
-    frac = 6 * n * n * bernoulli2(Fraction(x, n))
-    if frac.denominator != 1:
-        raise NotIntegral(f"12 n^2 ell = {frac} is not an integer")
-    val = int(frac)
-    assert val == _ell_table(n)[x]
-    assert abs(val) <= n * n
+    val = _ell_table(n)[(a.a1 * c.lift[0] + a.a2 * c.lift[2]) % n]
+    if abs(val) > n * n:
+        raise BoundViolated(f"|12 n^2 ell| = {abs(val)} exceeds n^2 = {n * n}")
     return val
 
 
 @functools.lru_cache(maxsize=256)
-def _trace_columns(G: SubgroupG, lift: Mat) -> Tuple[Tuple[int, int], ...]:
-    # first column of sigma*lift for every sigma in G; the order at the cusp
-    # with this lift only ever sees these pairs
+def _trace_columns(G: SubgroupG, rep: Vec) -> Tuple[int, Tuple[Vec, ...]]:
+    # sigma*lift has first column sigma*rep, so the columns an order at this
+    # cusp sums over are the orbit G*rep, each |G|/|G*rep| times
     n = G.n
-    la, lc = lift[0], lift[2]
-    return tuple(
-        ((sa * la + sb * lc) % n, (sc * la + sd * lc) % n)
-        for sa, sb, sc, sd in G.elements
-    )
+    cols = generated_orbit(rep, G.generator_mats(), lambda g, v: mat_vec(g, v, n))
+    if G.order % len(cols):
+        raise BoundViolated(f"orbit of size {len(cols)} does not divide |G| = {G.order}")
+    return G.order // len(cols), tuple(cols)
 
 
 def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
     """Order at the cusp c of X_G of the trace product w_a over G.
 
-    Computed as (width/n) * sum over sigma in G of 12 n^2 ell(a*sigma*lift).
+    An orbit-stabilizer sum: (width/n) * sum over sigma in G of
+    12 n^2 ell(a*sigma*lift), where sigma*lift has first column sigma*rep,
+    so the sum is |Stab(rep)| times a sum over the orbit G*rep.
     """
     n = G.n
     if a.n != n or c.n != n:
@@ -122,12 +119,14 @@ def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
         raise NotDefinedOverQ("trace orders need the determinant map onto (Z/n)*")
     table = _ell_table(n)
     a1, a2 = a.a1, a.a2
-    total = sum(table[(a1 * u + a2 * w) % n] for u, w in _trace_columns(G, c.lift))
+    mult, cols = _trace_columns(G, c.rep)
+    total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in cols)
     frac = Fraction(c.width * total, n)
     if frac.denominator != 1:
         raise NotIntegral(f"width {c.width} times {total} is not divisible by {n}")
     val = int(frac)
-    assert abs(val) <= G.order * n * n
+    if abs(val) > G.order * n * n:
+        raise BoundViolated(f"|ord_w| = {abs(val)} exceeds |G| n^2 = {G.order * n * n}")
     return val
 
 
@@ -135,22 +134,17 @@ def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
 def _column_reps(G: SubgroupG) -> Tuple[TorsionIndex, ...]:
     """Lex-least representatives of nonzero row vectors modulo a -> ±(a*sigma)."""
     n = G.n
+    gens = G.generator_mats() + (minus_identity_mat(n),)
     seen = set()
-    reps: List[Tuple[int, int]] = []
+    reps: List[TorsionIndex] = []
     for a1 in range(n):
         for a2 in range(n):
             if (a1 == 0 and a2 == 0) or (a1, a2) in seen:
                 continue
-            orbit = set()
-            for sa, sb, sc, sd in G.elements:
-                u = (a1 * sa + a2 * sc) % n
-                w = (a1 * sb + a2 * sd) % n
-                orbit.add((u, w))
-                orbit.add(((-u) % n, (-w) % n))
-            seen |= orbit
-            reps.append(min(orbit))
-    reps.sort()
-    return tuple(TorsionIndex(n, x, y) for x, y in reps)
+            # every smaller vector is already seen, so (a1, a2) is lex-least
+            seen.update(generated_orbit((a1, a2), gens, lambda g, v: vec_mat(v, g, n)))
+            reps.append(TorsionIndex(n, a1, a2))
+    return tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -173,7 +167,8 @@ def divisor_matrix(G: SubgroupG) -> DivisorMatrix:
         rep = orbit.members[0]
         rows.append(tuple(ord_w(G, a, rep) for a in cols))
     bound = G.order * G.n * G.n
-    assert all(abs(e) <= bound for row in rows for e in row)
+    if any(abs(e) > bound for row in rows for e in row):
+        raise BoundViolated(f"a divisor matrix entry exceeds |G| n^2 = {bound}")
     return DivisorMatrix(G, orbits, cols, tuple(rows), bound)
 
 
@@ -281,7 +276,8 @@ def runge_vector(M: Sequence[Sequence[int]], A: int) -> Tuple[int, ...]:
     target = abs(d)
     for i in range(s):
         got = sum(rows[i][j] * b[j] for j in range(t))
-        assert got == target, "construction must hit (|d|, ..., |d|)"
+        if got != target:
+            raise BoundViolated(f"row {i} gives {got}, not |det S| = {target}")
 
     norm = sum(abs(x) for x in b)
     if norm * norm > s ** (s + 2) * A ** (2 * (s - 1)):
@@ -346,14 +342,20 @@ def runge_unit(G: SubgroupG, sigma: Iterable[CuspOrbit], s: int) -> RungeUnit:
 
     l1 = sum(abs(x) for x in b)
     bound_sq = s ** (s + 2) * (g * n * n) ** (2 * (s - 1))
-    assert l1 * l1 <= bound_sq
-    for i in idx:
-        assert orbit_orders[i] > 0
-    for v in orbit_orders:
-        # |ord| <= B |G| n^2 everywhere, compared on exact squares
-        assert v * v <= bound_sq * (g * n * n) ** 2
+    if l1 * l1 > bound_sq:
+        raise BoundViolated(f"l1 norm {l1} exceeds B")
+    if any(orbit_orders[i] <= 0 for i in idx):
+        raise BoundViolated("the unit is not positive on every orbit of sigma")
+    # |ord| <= B |G| n^2 everywhere, compared on exact squares
+    if any(v * v > bound_sq * (g * n * n) ** 2 for v in orbit_orders):
+        raise BoundViolated("a cusp order exceeds B |G| n^2")
 
-    bound_B = math.sqrt(bound_sq)
+    try:
+        bound_B = math.sqrt(bound_sq)
+    except OverflowError:
+        # beyond float range: infinity is still an upper bound, and the
+        # budgets below follow it; bound_B_squared stays exact
+        bound_B = math.inf
     return RungeUnit(
         group=G,
         s=s,

@@ -78,6 +78,19 @@ def test_group_file_is_accepted(tmp_path):
     assert payload["level"] == 5
 
 
+def test_runge_unit_bound_beyond_float_range_exit_zero(tmp_path):
+    # Gamma1-type group mod 47: 23 rational orbits, B^2 beyond float range
+    path = tmp_path / "gamma1_47.txt"
+    path.write_text("N=47\n1 1 0 1\n1 0 0 5\n")
+    rc, text = invoke(
+        ["runge-unit", "--group", str(path), "--sigma", "rational", "--s", "23", "--format", "json"]
+    )
+    assert rc == 0
+    payload = json.loads(text)
+    assert payload["s"] == 23 and len(payload["sigma"]) == 23
+    assert math.isinf(payload["bound_B"])
+
+
 # ------------------------------------------------------------ JSON schema
 
 

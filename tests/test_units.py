@@ -17,10 +17,12 @@ from rungemod.errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from rungemod.modnt import kernel_level_group, mat_vec, preset_subgroup
+from rungemod import units
+from rungemod.modnt import kernel_level_group, mat_vec, parse_group_text, preset_subgroup
 from rungemod.units import (
     CuspDivisor,
     TorsionIndex,
+    _ell_table,
     _int_det,
     _int_rank,
     bernoulli2,
@@ -64,6 +66,14 @@ def test_ell_values():
     assert ell(TorsionIndex(6, 3, 2)) == Fraction(-1, 24)
     # periodicity: residues are reduced mod n on construction
     assert ell(TorsionIndex(5, 7, 3)) == ell(TorsionIndex(5, 2, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_ell_table_is_scaled_b2(n):
+    table = _ell_table(n)
+    assert len(table) == n
+    for x in range(n):
+        assert table[x] == 12 * n * n * ell(TorsionIndex(n, x, 1))
 
 
 def test_torsion_index_basics():
@@ -326,6 +336,13 @@ def test_runge_vector_errors():
         runge_vector([], 1)
 
 
+def test_runge_vector_wrong_determinant_is_caught(monkeypatch):
+    real = units._int_det
+    monkeypatch.setattr(units, "_int_det", lambda rows: real(rows) + 1)
+    with pytest.raises(BoundViolated):
+        runge_vector([[2, 1], [1, 1]], 2)
+
+
 def test_runge_vector_random_contract():
     rng = random.Random(7)
     done = 0
@@ -405,3 +422,20 @@ def test_cusp_divisor_degree():
     cusps = enumerate_cusps(G)
     d = CuspDivisor({cusps[0]: 2, cusps[1]: -1, cusps[2]: -1})
     assert d.degree() == 0
+
+
+GAMMA1_47 = "N=47\n1 1 0 1\n1 0 0 5\n"
+
+
+def test_runge_unit_gamma1_47_bound_beyond_float_range():
+    # B^2 is far beyond float range here: bound_B and the budgets become inf
+    G = parse_group_text(GAMMA1_47)
+    orbits = galois_orbits(G)
+    assert sorted(o.degree for o in orbits) == [1] * 23 + [23]
+    rational = [o for o in orbits if o.degree == 1]
+    u = runge_unit(G, rational, 23)
+    assert u.l1_norm ** 2 <= u.bound_B_squared
+    assert u.bound_B_squared > 2 ** 1024
+    assert u.bound_B == u.lambda_budget_log2 == u.lambda_budget_relaxed == float("inf")
+    for o in rational:
+        assert u.divisor.orders[o.members[0]] > 0
