@@ -348,9 +348,6 @@ class ErrorBall:
         r = _mpf_to_fraction(self.rad) + _mpf_to_fraction(o.rad)
         return dre * dre + dim * dim <= r * r
 
-    def midpoint_complex(self) -> complex:
-        return complex(to_float(self.re), to_float(self.im))
-
     def radius_float(self) -> float:
         return to_float(self.rad)
 
@@ -459,9 +456,9 @@ def reduce_fundamental(tau: UpperHalfPoint) -> Tuple[UpperHalfPoint, Mat]:
     else:
         raise PrecisionExhausted("fundamental-domain reduction did not terminate")
     gamma = (ga, gb, gc, gd)
-    assert ga * gd - gb * gc == 1
     check = mobius_apply(gamma, tau)
-    assert check.re == x and check.im == y
+    if ga * gd - gb * gc != 1 or check.re != x or check.im != y:
+        raise BoundViolated("reduction matrix does not send tau to the reduced point")
     return UpperHalfPoint(x, y), gamma
 
 
@@ -475,26 +472,46 @@ def _sigma3_prefix(m: int) -> Tuple[int, ...]:
     return tuple(s)
 
 
+def _dyadic_ceil(x: Fraction) -> Fraction:
+    """Upper bound k / 2^s >= x with 2^63 <= k < 2^65, for 0 < x <= 2."""
+    s = 64 + x.denominator.bit_length() - x.numerator.bit_length()
+    return Fraction(-((-x.numerator << s) // x.denominator), 1 << s)
+
+
 def _tail_cut_e4(u_hi: Fraction, target: Fraction) -> Tuple[int, Fraction]:
-    """Smallest m with 480 (m+1)^3 u^{m+1} <= target (valid for u <= 1/16)."""
+    """Smallest m with 480 (m+1)^3 u^{m+1} <= target (valid for u <= 1/16).
+
+    u and each running power are rounded up to 64-bit dyadics, so the cut
+    costs O(m) short products.  The bound is increasing in u and every
+    rounding goes upward, so the returned tail still bounds the true one.
+    """
+    u = _dyadic_ceil(u_hi)
     m = 1
-    pw = u_hi * u_hi  # u^{m+1}
+    pw = _dyadic_ceil(u * u)  # >= u^{m+1}
     while 480 * (m + 1) ** 3 * pw > target:
         m += 1
-        pw *= u_hi
+        pw = _dyadic_ceil(pw * u)
         if m > 200000:
             raise Indeterminate("series cut not reachable; |q| too close to 1")
     return m, 480 * (m + 1) ** 3 * pw
 
 
 def _tail_cut_geometric(u_hi: Fraction, coeff: Fraction, target: Fraction) -> Tuple[int, Fraction]:
-    """Smallest T with coeff * u^T / (1-u) <= target, requiring u^T <= 1/10."""
-    one_minus = 1 - u_hi
+    """Smallest T with coeff * u^T / (1-u) <= target, requiring u^T <= 1/10.
+
+    u and each running power are rounded up to 64-bit dyadics.  Both
+    conditions and the bound are increasing in u < 1 and every rounding
+    goes upward, so the returned tail still bounds the true one.
+    """
+    u = _dyadic_ceil(u_hi)
+    if u >= 1:
+        raise Indeterminate("|q| enclosure reaches 1")
+    one_minus = 1 - u
     T = 1
-    pw = u_hi
+    pw = u  # >= u^T
     while pw > Fraction(1, 10) or coeff * pw / one_minus > target:
         T += 1
-        pw *= u_hi
+        pw = _dyadic_ceil(pw * u)
         if T > 200000:
             raise Indeterminate("product cut not reachable; |q| too close to 1")
     return T, coeff * pw / one_minus
@@ -554,8 +571,6 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
     x, y = tau.re, tau.im
 
     u_hi = tau.abs_q_interval(wp).hi_fraction()
-    if u_hi >= 1:
-        raise Indeterminate("|q| enclosure reaches 1")
     target = Fraction(1, 2 ** (precision + 16))
     # factors beyond T contribute exp(w) with
     # |w| <= 1.1 (u^{T+1} + u^T)/(1-u) <= 2.2 u^T/(1-u), each |z| <= u^T <= 1/10
@@ -740,7 +755,9 @@ def nearest_cusp(G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRE
 
     The reduction gamma sends tau into D; the cusp is the class of the
     first column of gamma^{-1} mod n, with certified |q| < 0.001 at the
-    reduced point.
+    reduced point.  Raises NotInPlusRegion when |j| <= 2500 is certified,
+    and PrecisionExhausted when the precision cap leaves |j| > 2500
+    undecided.
     """
 
     def j_gate(prec: int) -> bool:
@@ -751,10 +768,7 @@ def nearest_cusp(G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRE
             raise Indeterminate("cannot certify |j| > 2500")
         return True
 
-    try:
-        _escalate(j_gate, precision)
-    except PrecisionExhausted as exc:
-        raise NotInPlusRegion("|j| <= 2500 not excluded: %s" % exc) from exc
+    _escalate(j_gate, precision)
 
     red, gamma = reduce_fundamental(tau)
 

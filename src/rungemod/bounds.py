@@ -16,7 +16,7 @@ from mpmath.libmp import to_float
 
 from .analytic import DEFAULT_PRECISION, RealInterval, _escalate
 from .cusps import galois_orbits
-from .errors import DegenerateJ, HypothesisFailed, Indeterminate
+from .errors import BoundViolated, DegenerateJ, HypothesisFailed, Indeterminate
 from .modnt import SubgroupG
 
 # level cap constant: isogeny degree bound instantiated at field degree 2,
@@ -409,8 +409,8 @@ def twist_equation(j) -> WeierstrassTwist:
     b8 = a6 - a4 * a4  # a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
     c4 = b2 * b2 - 24 * b4
-    assert disc == j * j / t ** 3
-    assert c4 ** 3 / disc == j
+    if disc != j * j / t ** 3 or c4 ** 3 / disc != j:
+        raise BoundViolated("twist discriminant identities fail at j = %s" % j)
     return WeierstrassTwist(j, 1, 0, 0, a4, a6, disc)
 
 
@@ -527,7 +527,8 @@ def three_prime_threshold(precision: int = DEFAULT_PRECISION) -> int:
         return _escalate(attempt, precision)
 
     lo, hi = 11, 10 ** 95
-    assert not rejected(lo) and rejected(hi)
+    if rejected(lo) or not rejected(hi):
+        raise BoundViolated("threshold search interval does not bracket the cap")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if rejected(mid):

@@ -11,9 +11,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, log
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .errors import NotDefinedOverQ
+from .errors import BoundViolated, NotDefinedOverQ
 from .modnt import (
     Mat,
     SubgroupG,
@@ -211,15 +211,9 @@ def galois_orbits(G: SubgroupG) -> List[CuspOrbit]:
             orbits.append(sorted(members))
 
     result = [CuspOrbit(members=tuple(cusps[i] for i in ms)) for ms in orbits]
-    assert sum(o.degree for o in result) == len(cusps)
+    if sum(o.degree for o in result) != len(cusps):
+        raise BoundViolated(f"Galois orbits of {G.label} do not partition its {len(cusps)} cusps")
     return result
-
-
-def orbit_of_cusp(orbits: Sequence[CuspOrbit], c: CuspClass) -> CuspOrbit:
-    for o in orbits:
-        if c in o.members:
-            return o
-    raise ValueError(f"cusp {c.rep} not found in the given orbit list")
 
 
 def runge_condition(G: SubgroupG, s: int) -> bool:

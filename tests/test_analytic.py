@@ -15,15 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rungemod.analytic as analytic
 from rungemod.analytic import (
     DEFAULT_PRECISION,
     CheckReport,
     ErrorBall,
     RealInterval,
     UpperHalfPoint,
+    _dyadic_ceil,
     _escalate,
     _exp_2pii,
     _sigma3_prefix,
+    _tail_cut_e4,
+    _tail_cut_geometric,
     eval_j,
     eval_siegel,
     mobius_apply,
@@ -40,7 +44,7 @@ from rungemod.analytic import (
     verify_siegel_bounds,
 )
 from rungemod.cusps import cusp_containing
-from rungemod.errors import Indeterminate, NotInPlusRegion, PrecisionExhausted
+from rungemod.errors import BoundViolated, Indeterminate, NotInPlusRegion, PrecisionExhausted
 from rungemod.modnt import preset_subgroup
 from rungemod.units import TorsionIndex
 
@@ -72,19 +76,24 @@ def j_oracle(re: Fraction, im: Fraction, dps: int = 60):
         return 32 * (t2 ** 8 + t3 ** 8 + t4 ** 8) ** 3 / (t2 * t3 * t4) ** 8
 
 
+def siegel_oracle(a: TorsionIndex, re: Fraction, im: Fraction, terms: int):
+    """g_a(tau) by its product formula at the current mpmath precision."""
+    n = a.n
+    al = mp.mpf(a.a1) / n
+    a2 = mp.mpf(a.a2) / n
+    tau = mp.mpc(mp_from_fraction(re), mp_from_fraction(im))
+    q = mp.exp(2j * mp.pi * tau)
+    qz = mp.exp(2j * mp.pi * (al * tau + a2))
+    b2 = al * al - al + mp.mpf(1) / 6
+    g = -mp.exp(2j * mp.pi * tau * (b2 / 2)) * mp.exp(2j * mp.pi * (a2 * (al - 1) / 2)) * (1 - qz)
+    for k in range(1, terms):
+        g *= (1 - q ** k * qz) * (1 - q ** k / qz)
+    return g
+
+
 def siegel_abs_oracle(a: TorsionIndex, re: Fraction, im: Fraction, dps: int = 45, terms: int = 90):
     with mp.workdps(dps):
-        n = a.n
-        al = mp.mpf(a.a1) / n
-        a2 = mp.mpf(a.a2) / n
-        tau = mp.mpc(mp_from_fraction(re), mp_from_fraction(im))
-        q = mp.exp(2j * mp.pi * tau)
-        qz = mp.exp(2j * mp.pi * (al * tau + a2))
-        b2 = al * al - al + mp.mpf(1) / 6
-        g = -mp.exp(2j * mp.pi * tau * (b2 / 2)) * mp.exp(2j * mp.pi * (a2 * (al - 1) / 2)) * (1 - qz)
-        for k in range(1, terms):
-            g *= (1 - q ** k * qz) * (1 - q ** k / qz)
-        return abs(g)
+        return abs(siegel_oracle(a, re, im, terms))
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=64)
@@ -218,6 +227,15 @@ def test_exp_2pii_special_points():
 # --------------------------------------------------------------- reduction
 
 
+def test_reduce_fundamental_wrong_matrix_is_caught(monkeypatch):
+    real = analytic.mobius_apply
+    monkeypatch.setattr(
+        analytic, "mobius_apply", lambda m, t: UpperHalfPoint(real(m, t).re + 1, real(m, t).im)
+    )
+    with pytest.raises(BoundViolated):
+        reduce_fundamental(UpperHalfPoint(Fraction(1, 3), Fraction(1, 2)))
+
+
 def test_upper_half_point_validation():
     with pytest.raises(ValueError):
         UpperHalfPoint(0, 0)
@@ -285,6 +303,10 @@ def test_j_classical_values():
     ball = eval_j(UpperHalfPoint(0, 1), precision=256)
     assert ball.contains_point(Fraction(1728))
     assert ball.radius_float() < 2.0 ** -260
+    for y, want in [(1, 1728), (2, 287496)]:
+        ball = eval_j(UpperHalfPoint(0, y), precision=1024)
+        assert ball.contains_point(Fraction(want))
+        assert ball.radius_float() < 2.0 ** -1020
 
 
 def test_j_matches_theta_oracle():
@@ -374,6 +396,58 @@ def test_j_modular_invariance():
 # -------------------------------------------------------------- eval_siegel
 
 
+def exact_cut_e4(u: Fraction, target: Fraction):
+    """The tail cut of _tail_cut_e4 in exact Fraction arithmetic."""
+    m, pw = 1, u * u
+    while 480 * (m + 1) ** 3 * pw > target:
+        m, pw = m + 1, pw * u
+    return m, 480 * (m + 1) ** 3 * pw
+
+
+def exact_cut_geometric(u: Fraction, coeff: Fraction, target: Fraction):
+    """The tail cut of _tail_cut_geometric in exact Fraction arithmetic."""
+    T, pw = 1, u
+    while pw > Fraction(1, 10) or coeff * pw / (1 - u) > target:
+        T, pw = T + 1, pw * u
+    return T, coeff * pw / (1 - u)
+
+
+@pytest.mark.parametrize("prec", [128, 256, 512, 1024])
+def test_tail_cuts_match_exact_oracle(prec):
+    # Im tau = sqrt(3)/2 (the corner, longest cuts), i, 4i, and one
+    # unreduced point of the size eval_siegel sees
+    pts = [(Fraction(-1, 2), Fraction(8661, 10000)), (0, 1), (0, 4), (Fraction(1, 5), Fraction(1, 2))]
+    target = Fraction(1, 2 ** (prec + 16))
+    for re, im in pts:
+        u = UpperHalfPoint(re, im).abs_q_interval(prec + 32).hi_fraction()
+        cuts = [(_tail_cut_e4(u, target), exact_cut_e4(u, target))]
+        for coeff in (Fraction(264, 10), Fraction(22, 10)):
+            cuts.append((_tail_cut_geometric(u, coeff, target), exact_cut_geometric(u, coeff, target)))
+        for (n, tail), (n_exact, tail_exact) in cuts:
+            assert n_exact <= n <= n_exact + 1, (re, im, prec)
+            assert tail <= target
+            if n == n_exact:
+                assert tail >= tail_exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 2 ** 1100), max_value=2))
+def test_dyadic_ceil_is_a_tight_upper_bound(x):
+    if x <= 0:
+        return
+    d = _dyadic_ceil(x)
+    assert d >= x
+    assert d - x <= x / 2 ** 62
+    assert d.denominator & (d.denominator - 1) == 0
+
+
+def test_geometric_cut_rejects_u_rounding_to_one():
+    # 1 - 2^-80 rounds up to 1; the guard refuses at once instead of
+    # running the loop to its iteration limit
+    with pytest.raises(Indeterminate, match="reaches 1"):
+        _tail_cut_geometric(1 - Fraction(1, 2 ** 80), Fraction(22, 10), Fraction(1, 2 ** 144))
+
+
 def test_siegel_half_example():
     # a = (0, 1/2) at 10i: log|g| = (1/12) log|q| + log 2 up to 3|q|
     # 3|q| = 3 e^{-20 pi} = 1.55e-27, so the comparison must stay exact
@@ -409,6 +483,23 @@ def test_siegel_matches_oracle():
         want = dyadic(siegel_abs_oracle(a, re, im))
         slack = Fraction(1, 10 ** 25)
         assert iv.lo_fraction() - slack <= want <= iv.hi_fraction() + slack, (a, re, im)
+
+
+def test_siegel_matches_oracle_at_1024_bits():
+    cases = [
+        (TorsionIndex(5, 1, 2), Fraction(0), Fraction(1, 2)),
+        (TorsionIndex(7, 0, 4), Fraction(-1, 4), Fraction(3, 4)),
+        (TorsionIndex(12, 5, 11), Fraction(2, 5), Fraction(5, 4)),
+    ]
+    for a, re, im in cases:
+        ball = eval_siegel(a, UpperHalfPoint(re, im), precision=1024)
+        assert ball.radius_float() < 2.0 ** -1000
+        # factors past `terms` move g by a relative 2.2 |q|^terms < 2^-1190
+        terms = math.ceil(1200 * math.log(2) / (2 * math.pi * im)) + 2
+        with mp.workprec(1200):
+            g = siegel_oracle(a, re, im, terms)
+            oracle = ErrorBall(g.real._mpf_, g.imag._mpf_, (mp.mpf(2) ** -1100)._mpf_, 1200)
+        assert ball.intersects(oracle), (a, re, im)
 
 
 def test_siegel_translation_consistency():
@@ -474,6 +565,17 @@ def test_nearest_cusp_examples():
     # j(1.2i) = 2736.34... > 2500, so 1.2i lies in the plus region with
     # |q| = 5.3e-4 < 0.001 and classifies to the infinity cusp
     assert nearest_cusp(G, UpperHalfPoint(0, Fraction(12, 10))).rep == (1, 0)
+
+
+def test_nearest_cusp_undecided_is_not_a_negative():
+    # |j(iy)| = 2500 near y = 1.1768; a 340-digit root leaves |j| - 2500
+    # far inside the 1024-bit radius, so |j| > 2500 never settles
+    with mp.workdps(340):
+        root = mp.findroot(lambda t: j_oracle(Fraction(0), dyadic(t), dps=340).real - 2500, mp.mpf("1.19"))
+        y = dyadic(root)
+    G = preset_subgroup("split_normalizer", 5)
+    with pytest.raises(PrecisionExhausted):
+        nearest_cusp(G, UpperHalfPoint(0, y))
 
 
 def test_nearest_cusp_other_groups():

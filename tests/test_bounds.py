@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rungemod.bounds as bounds
 from rungemod.analytic import RealInterval
 from rungemod.bounds import (
     KAPPA_SPLIT_CARTAN,
@@ -32,7 +33,7 @@ from rungemod.bounds import (
     three_prime_threshold,
     twist_equation,
 )
-from rungemod.errors import DegenerateJ, HypothesisFailed, NotDefinedOverQ, PrecisionExhausted
+from rungemod.errors import BoundViolated, DegenerateJ, HypothesisFailed, NotDefinedOverQ, PrecisionExhausted
 from rungemod.modnt import ResidueMatrix, generate_subgroup, preset_subgroup
 
 
@@ -434,6 +435,13 @@ def test_three_prime_threshold_boundary():
 
     assert thr ** 3 > _three_prime_cap_at(thr, 512).hi_fraction()
     assert (thr - 1) ** 3 <= _three_prime_cap_at(thr - 1, 512).lo_fraction()
+
+
+def test_three_prime_threshold_unbracketed_cap_is_caught(monkeypatch):
+    # a cap of 0 rejects m = 11 too, so the bisection has no bracket
+    monkeypatch.setattr(bounds, "_three_prime_cap_at", lambda m, prec: RealInterval.from_int(0, prec))
+    with pytest.raises(BoundViolated):
+        three_prime_threshold()
 
 
 def test_three_prime_rejects_past_threshold():

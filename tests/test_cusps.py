@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rungemod.cusps as cusps_mod
 from rungemod.cusps import (
     canonical_class,
     cusp_containing,
@@ -18,7 +19,7 @@ from rungemod.cusps import (
     sl2_index,
     sl2_lift,
 )
-from rungemod.errors import NotDefinedOverQ
+from rungemod.errors import BoundViolated, NotDefinedOverQ
 from rungemod.modnt import (
     ResidueMatrix,
     generate_subgroup,
@@ -34,6 +35,13 @@ def test_split_5_cusp_count_and_structure():
     assert len(cusps) == 3  # (p+1)/2
     assert cusps[0].rep == (1, 0)  # class of (1,0) first
     assert all(c.width == 5 for c in cusps)
+
+
+def test_overlapping_galois_orbits_are_caught(monkeypatch):
+    # every orbit also claims cusp 0, so the degrees overcount the cusps
+    monkeypatch.setattr(cusps_mod, "generated_orbit", lambda start, gens, act: {start, 0})
+    with pytest.raises(BoundViolated):
+        galois_orbits(preset_subgroup("split_normalizer", 5))
 
 
 def test_split_13_cusp_count():
