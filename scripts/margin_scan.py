@@ -2,7 +2,8 @@
 
 A margin is the certified distance by which an inequality holds (lower bound
 of bound-minus-value); the scan watches how close any sample family gets to
-zero as the sample count grows.
+zero as the sample count grows.  A family that certifies no margin for some
+seed (no samples, or every sample undecided) counts as a failure.
 
 Usage:
     python3 scripts/margin_scan.py --samples 500 --seeds 1 2 3
@@ -11,37 +12,31 @@ Usage:
 
 import argparse
 import time
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from rungemod.analytic import run_all_sweeps
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    samples: int
-    seeds: List[int]
-    precision: int
+def _fmt(margin: Optional[float]) -> str:
+    return "none" if margin is None else "%.6g" % margin
 
 
-def scan(cfg: ScanConfig) -> Dict[str, float]:
-    worst: Dict[str, float] = {}
-    for seed in cfg.seeds:
+def scan(samples: int, seeds: List[int], precision: int) -> Dict[str, Optional[float]]:
+    """Worst margin per family over all seeds; None if some seed certified none."""
+    margins: Dict[str, List[Optional[float]]] = {}
+    for seed in seeds:
         t0 = time.monotonic()
-        results = run_all_sweeps(
-            samples=cfg.samples, seed=seed, precision=cfg.precision
-        )
+        results = run_all_sweeps(samples=samples, seed=seed, precision=precision)
         dt = time.monotonic() - t0
         bad = sum(r.violations + r.indeterminate for r in results)
         print("seed %d: %d families, %.1fs, %d failures" % (seed, len(results), dt, bad))
         for r in results:
             print(
-                "  %-12s checked=%d holds=%d margin=%.6g"
-                % (r.name, r.checked, r.holds, r.worst_margin)
+                "  %-12s checked=%d holds=%d margin=%s"
+                % (r.name, r.checked, r.holds, _fmt(r.worst_margin))
             )
-            if r.name not in worst or r.worst_margin < worst[r.name]:
-                worst[r.name] = r.worst_margin
-    return worst
+            margins.setdefault(r.name, []).append(r.worst_margin)
+    return {name: None if None in ms else min(ms) for name, ms in margins.items()}
 
 
 def main() -> int:
@@ -51,11 +46,13 @@ def main() -> int:
     ap.add_argument("--precision", type=int, default=128)
     args = ap.parse_args()
 
-    cfg = ScanConfig(samples=args.samples, seeds=args.seeds, precision=args.precision)
-    worst = scan(cfg)
-    print("worst margins over %d seed(s):" % len(cfg.seeds))
+    worst = scan(args.samples, args.seeds, args.precision)
+    print("worst margins over %d seed(s):" % len(args.seeds))
     for name in sorted(worst):
-        print("  %-12s %.6g" % (name, worst[name]))
+        print("  %-12s %s" % (name, _fmt(worst[name])))
+    if any(m is None for m in worst.values()):
+        print("NO CERTIFIED MARGIN: investigate")
+        return 1
     if any(m <= 0 for m in worst.values()):
         print("NONPOSITIVE MARGIN: investigate")
         return 1

@@ -47,7 +47,7 @@ from mpmath.libmp import (
 
 from .cusps import CuspClass, canonical_class, cusp_containing
 from .errors import BoundViolated, Indeterminate, NotInPlusRegion, PrecisionExhausted
-from .modnt import SubgroupG, preset_subgroup
+from .modnt import SubgroupG
 from .units import TorsionIndex, bernoulli2, ell
 
 Mat = Tuple[int, int, int, int]
@@ -668,11 +668,9 @@ def _cdplus_report(tau: UpperHalfPoint, precision: int) -> CheckReport:
     return _escalate(attempt, precision)
 
 
-def _esmallj_diff(a: TorsionIndex, tau: UpperHalfPoint, prec: int) -> RealInterval:
+def _esmallj_diff(a: TorsionIndex, tau: UpperHalfPoint, prec: int, log_g: RealInterval) -> RealInterval:
+    """(1/12) log(|j| + 2200) + log(order) + 0.1 - |log|g_a||, given log|g_a(tau)|."""
     wp = prec + 32
-    g = eval_siegel(a, tau, prec)
-    ga = g.abs_interval()
-    log_g = ga.log()
     aj = eval_j(tau, prec).abs_interval()
     rhs = aj.add_fraction(Fraction(2200)).log().scale_fraction(Fraction(1, 12))
     rhs = rhs.add(RealInterval.from_int(a.order, wp).log())
@@ -696,45 +694,57 @@ def verify_siegel_bounds(
         wp = prec + 32
         n = a.n
         u = tau.abs_q_interval(wp)
-        la = ell(a)
-        log_q = tau.log_abs_q_interval(wp)
+        log_g = eval_siegel(a, tau, prec).abs_interval().log()
         reports: List[CheckReport] = []
-        if a.a1 % n != 0:
-            if u.hi_fraction() <= Fraction(1, 10 ** n):
-                g = eval_siegel(a, tau, prec)
-                log_g = g.abs_interval().log()
-                lhs = log_g.sub(log_q.scale_fraction(la)).abs()
+        first = a.a1 % n != 0
+        if u.hi_fraction() <= Fraction(1, 10 ** n if first else 10):
+            lhs = log_g.sub(tau.log_abs_q_interval(wp).scale_fraction(ell(a)))
+            if first:
                 # 3 |q|^{1/n} = 3 e^{-2 pi y / n}, exact in y
                 rhs = _pi_interval(wp).scale_fraction(Fraction(-2 * tau.im, n)).exp()
                 rhs = rhs.scale_fraction(Fraction(3))
-                reports.append(_report("ega1", rhs.sub(lhs), prec))
-        else:
-            if u.hi_fraction() <= Fraction(1, 10):
-                g = eval_siegel(a, tau, prec)
-                log_g = g.abs_interval().log()
+                name = "ega1"
+            else:
                 zeta = _exp_2pii(Fraction(a.a2, n), Fraction(0), wp)
                 gap = ErrorBall.from_int(1, wp).sub(zeta).abs_interval()
-                lhs = log_g.sub(log_q.scale_fraction(la)).sub(gap.log()).abs()
+                lhs = lhs.sub(gap.log())
                 rhs = u.scale_fraction(Fraction(3))
-                reports.append(_report("ega0", rhs.sub(lhs), prec))
-        reports.append(_report("esmallj", _esmallj_diff(a, tau, prec), prec))
+                name = "ega0"
+            reports.append(_report(name, rhs.sub(lhs.abs()), prec))
+        reports.append(_report("esmallj", _esmallj_diff(a, tau, prec, log_g), prec))
         return tuple(reports)
 
     return _escalate(attempt, precision)
 
 
+def _verify_smallj(a: TorsionIndex, tau: UpperHalfPoint, precision: int) -> CheckReport:
+    """Certify the j-window bound on |log|g_a|| alone."""
+
+    def attempt(prec: int) -> CheckReport:
+        log_g = eval_siegel(a, tau, prec).abs_interval().log()
+        return _report("esmallj", _esmallj_diff(a, tau, prec, log_g), prec)
+
+    return _escalate(attempt, precision)
+
+
+def _abs_j_above_2500(tau: UpperHalfPoint, prec: int) -> RealInterval:
+    """|j(tau)|, certified > 2500; else NotInPlusRegion or Indeterminate."""
+    aj = eval_j(tau, prec).abs_interval()
+    if aj.hi_fraction() <= 2500:
+        raise NotInPlusRegion("certified |j| <= 2500")
+    if aj.lo_fraction() <= 2500:
+        raise Indeterminate("cannot certify |j| > 2500")
+    return aj
+
+
 def verify_everysimple(
     G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION
 ) -> CheckReport:
-    """Certify (3/2)|j| >= |1/q_c| >= (1/2)|j| at the reduced point."""
+    """Certify (3/2)|j| >= |1/q_c| >= (1/2)|j| at the reduced point; G is not read."""
 
     def attempt(prec: int) -> CheckReport:
         wp = prec + 32
-        aj = eval_j(tau, prec).abs_interval()
-        if aj.hi_fraction() <= 2500:
-            raise NotInPlusRegion("certified |j| <= 2500")
-        if aj.lo_fraction() <= 2500:
-            raise Indeterminate("cannot certify |j| > 2500")
+        aj = _abs_j_above_2500(tau, prec)
         red, _ = reduce_fundamental(tau)
         # |1/q_c| = e^{2 pi y'}, exact in y'
         inv_qc = _pi_interval(wp).scale_fraction(2 * red.im).exp()
@@ -760,15 +770,7 @@ def nearest_cusp(G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRE
     undecided.
     """
 
-    def j_gate(prec: int) -> bool:
-        aj = eval_j(tau, prec).abs_interval()
-        if aj.hi_fraction() <= 2500:
-            raise NotInPlusRegion("certified |j| <= 2500")
-        if aj.lo_fraction() <= 2500:
-            raise Indeterminate("cannot certify |j| > 2500")
-        return True
-
-    _escalate(j_gate, precision)
+    _escalate(lambda prec: _abs_j_above_2500(tau, prec), precision)
 
     red, gamma = reduce_fundamental(tau)
 
@@ -836,117 +838,103 @@ class SweepResult:
     worst_margin: Optional[float]
 
 
-class _SweepTally:
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.checked = 0
-        self.holds = 0
-        self.violations = 0
-        self.indeterminate = 0
-        self.worst: Optional[float] = None
+def _random_index(rng: random.Random, top: int) -> TorsionIndex:
+    """Level n in [2, top) and a nonzero (a1, a2) mod n."""
+    n = rng.randrange(2, top)
+    while True:
+        a1 = rng.randrange(n)
+        a2 = rng.randrange(n)
+        if a1 or a2:
+            return TorsionIndex(n, a1, a2)
 
-    def absorb(self, report: CheckReport) -> None:
-        self.checked += 1
-        if report.holds:
-            self.holds += 1
-        else:
-            self.violations += 1
-        if self.worst is None or report.margin < self.worst:
-            self.worst = report.margin
 
-    def miss(self) -> None:
-        self.checked += 1
-        self.indeterminate += 1
+def _sample_pqj(rng: random.Random) -> tuple:
+    x = Fraction(rng.randrange(-499, 500), 1000)
+    y = Fraction(rng.randrange(845, 4001), 1000)
+    return (UpperHalfPoint(x, y),)
 
-    def result(self) -> SweepResult:
-        return SweepResult(
-            self.name, self.checked, self.holds, self.violations, self.indeterminate, self.worst
-        )
+
+def _sample_cdplus(rng: random.Random) -> tuple:
+    while True:
+        x = Fraction(rng.randrange(-500, 500), 1000)
+        y = Fraction(rng.randrange(866, 3001), 1000)
+        if x * x + y * y >= 1:
+            return (UpperHalfPoint(x, y),)
+
+
+def _sample_siegel(rng: random.Random) -> tuple:
+    a = _random_index(rng, 8)
+    if a.a1:
+        y = Fraction(rng.randrange(370 * a.n, 370 * a.n + 1500), 1000)
+    else:
+        y = Fraction(rng.randrange(370, 1870), 1000)
+    x = Fraction(rng.randrange(-500, 500), 1000)
+    return a, UpperHalfPoint(x, y)
+
+
+def _sample_smallj(rng: random.Random) -> tuple:
+    a = _random_index(rng, 14)
+    x = Fraction(rng.randrange(-500, 500), 1000)
+    y = Fraction(rng.randrange(300, 3001), 1000)
+    return a, UpperHalfPoint(x, y)
+
+
+def _sample_everysimple(rng: random.Random) -> tuple:
+    x = Fraction(rng.randrange(-500, 500), 1000)
+    y = Fraction(rng.randrange(1400, 3501), 1000)
+    tau = UpperHalfPoint(x, y)
+    letters = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))  # S, T, T^-1
+    for _ in range(rng.randrange(4)):
+        tau = mobius_apply(letters[rng.randrange(3)], tau)
+    return (tau,)
+
+
+# family -> (sampler: rng -> args, check: (*args, precision) -> reports).
+# A check raises PrecisionExhausted when the precision cap leaves it undecided.
+_SWEEPS: Dict[str, Tuple[Callable[[random.Random], tuple], Callable[..., Tuple[CheckReport, ...]]]] = {
+    "pqj": (_sample_pqj, lambda tau, prec: (verify_pqj(tau, prec),)),
+    "cdplus": (_sample_cdplus, lambda tau, prec: (_cdplus_report(tau, prec),)),
+    "siegel": (_sample_siegel, verify_siegel_bounds),
+    "smallj": (_sample_smallj, lambda a, tau, prec: (_verify_smallj(a, tau, prec),)),
+    "everysimple": (_sample_everysimple, lambda tau, prec: (verify_everysimple(None, tau, prec),)),
+}
+
+
+def _sweep(family: str, samples: int, seed: int, precision: int) -> SweepResult:
+    """Run `samples` seeded draws of one family; an exhausted sample counts once."""
+    sample, check = _SWEEPS[family]
+    rng = random.Random("%s:%d" % (family, seed))
+    reports: List[CheckReport] = []
+    exhausted = 0
+    for _ in range(samples):
+        args = sample(rng)
+        try:
+            reports.extend(check(*args, precision))
+        except PrecisionExhausted:
+            exhausted += 1
+    holds = sum(r.holds for r in reports)
+    worst = min((r.margin for r in reports), default=None)
+    return SweepResult(family, len(reports) + exhausted, holds, len(reports) - holds, exhausted, worst)
 
 
 def sweep_pqj(samples: int = 1000, seed: int = 42, precision: int = DEFAULT_PRECISION) -> SweepResult:
     """Random tau with |q| <= 0.005 (im >= 0.845)."""
-    rng = random.Random("pqj:%d" % seed)
-    tally = _SweepTally("pqj")
-    for _ in range(samples):
-        x = Fraction(rng.randrange(-499, 500), 1000)
-        y = Fraction(rng.randrange(845, 4001), 1000)
-        tau = UpperHalfPoint(x, y)
-        try:
-            tally.absorb(verify_pqj(tau, precision))
-        except PrecisionExhausted:
-            tally.miss()
-    return tally.result()
+    return _sweep("pqj", samples, seed, precision)
 
 
 def sweep_cdplus(samples: int = 1000, seed: int = 42, precision: int = DEFAULT_PRECISION) -> SweepResult:
     """Random tau in the fundamental domain; |j| <= 2500 or |q| < 0.001."""
-    rng = random.Random("cdplus:%d" % seed)
-    tally = _SweepTally("cdplus")
-    for _ in range(samples):
-        while True:
-            x = Fraction(rng.randrange(-500, 500), 1000)
-            y = Fraction(rng.randrange(866, 3001), 1000)
-            if x * x + y * y >= 1:
-                break
-        tau = UpperHalfPoint(x, y)
-        try:
-            tally.absorb(_cdplus_report(tau, precision))
-        except PrecisionExhausted:
-            tally.miss()
-    return tally.result()
+    return _sweep("cdplus", samples, seed, precision)
 
 
 def sweep_siegel(samples: int = 1000, seed: int = 42, precision: int = DEFAULT_PRECISION) -> SweepResult:
     """Random torsion index and tau inside the near-cusp validity regions."""
-    rng = random.Random("siegel:%d" % seed)
-    tally = _SweepTally("siegel")
-    for _ in range(samples):
-        n = rng.randrange(2, 8)
-        while True:
-            a1 = rng.randrange(n)
-            a2 = rng.randrange(n)
-            if a1 or a2:
-                break
-        a = TorsionIndex(n, a1, a2)
-        if a1:
-            y = Fraction(rng.randrange(370 * n, 370 * n + 1500), 1000)
-        else:
-            y = Fraction(rng.randrange(370, 1870), 1000)
-        x = Fraction(rng.randrange(-500, 500), 1000)
-        tau = UpperHalfPoint(x, y)
-        try:
-            for report in verify_siegel_bounds(a, tau, precision):
-                tally.absorb(report)
-        except PrecisionExhausted:
-            tally.miss()
-    return tally.result()
+    return _sweep("siegel", samples, seed, precision)
 
 
 def sweep_smallj(samples: int = 1000, seed: int = 42, precision: int = DEFAULT_PRECISION) -> SweepResult:
     """Random torsion index, tau anywhere (im in [0.3, 3]): the j-window bound."""
-    rng = random.Random("smallj:%d" % seed)
-    tally = _SweepTally("smallj")
-    for _ in range(samples):
-        n = rng.randrange(2, 14)
-        while True:
-            a1 = rng.randrange(n)
-            a2 = rng.randrange(n)
-            if a1 or a2:
-                break
-        a = TorsionIndex(n, a1, a2)
-        x = Fraction(rng.randrange(-500, 500), 1000)
-        y = Fraction(rng.randrange(300, 3001), 1000)
-        tau = UpperHalfPoint(x, y)
-
-        def attempt(prec: int, a=a, tau=tau) -> CheckReport:
-            return _report("esmallj", _esmallj_diff(a, tau, prec), prec)
-
-        try:
-            tally.absorb(_escalate(attempt, precision))
-        except PrecisionExhausted:
-            tally.miss()
-    return tally.result()
+    return _sweep("smallj", samples, seed, precision)
 
 
 def sweep_everysimple(
@@ -955,36 +943,14 @@ def sweep_everysimple(
     precision: int = DEFAULT_PRECISION,
     group: Optional[SubgroupG] = None,
 ) -> SweepResult:
-    """Random tau with |j| large, moved by a random small SL2(Z) word."""
-    G = group if group is not None else preset_subgroup("split_normalizer", 5)
-    rng = random.Random("everysimple:%d" % seed)
-    tally = _SweepTally("everysimple")
-    s_mat = (0, -1, 1, 0)
-    for _ in range(samples):
-        x = Fraction(rng.randrange(-500, 500), 1000)
-        y = Fraction(rng.randrange(1400, 3501), 1000)
-        tau = UpperHalfPoint(x, y)
-        for _ in range(rng.randrange(4)):
-            choice = rng.randrange(3)
-            if choice == 0:
-                tau = mobius_apply(s_mat, tau)
-            else:
-                t = 1 if choice == 1 else -1
-                tau = mobius_apply((1, t, 0, 1), tau)
-        try:
-            tally.absorb(verify_everysimple(G, tau, precision))
-        except PrecisionExhausted:
-            tally.miss()
-    return tally.result()
+    """Random tau with |j| large, moved by a random small SL2(Z) word.
+
+    The check reads no field of the group, so `group` does not change the result.
+    """
+    return _sweep("everysimple", samples, seed, precision)
 
 
 def run_all_sweeps(
     samples: int = 1000, seed: int = 42, precision: int = DEFAULT_PRECISION
 ) -> List[SweepResult]:
-    return [
-        sweep_pqj(samples, seed, precision),
-        sweep_cdplus(samples, seed, precision),
-        sweep_siegel(samples, seed, precision),
-        sweep_smallj(samples, seed, precision),
-        sweep_everysimple(samples, seed, precision),
-    ]
+    return [_sweep(family, samples, seed, precision) for family in _SWEEPS]

@@ -11,6 +11,7 @@ JSON output is deterministic for a fixed argv and seed and carries a
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -225,15 +226,14 @@ def cmd_bound(args, out) -> int:
 
 def cmd_verify_analytic(args, out) -> int:
     precision = _resolve_precision(args.precision)
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     results = run_all_sweeps(samples=args.samples, seed=args.seed, precision=precision)
     checked = sum(r.checked for r in results)
     holds = sum(r.holds for r in results)
     violations = sum(r.violations for r in results)
     indet = sum(r.indeterminate for r in results)
-    margins = [r.worst_margin for r in results if r.worst_margin is not None]
-    worst = min(margins) if margins else None
+    worst = min((r.worst_margin for r in results if r.worst_margin is not None), default=None)
     payload = {
         "schema": SCHEMA,
         "command": "verify-analytic",
@@ -245,17 +245,7 @@ def cmd_verify_analytic(args, out) -> int:
         "violations": violations,
         "indeterminate": indet,
         "worst_margin": worst,
-        "sweeps": [
-            {
-                "name": r.name,
-                "checked": r.checked,
-                "holds": r.holds,
-                "violations": r.violations,
-                "indeterminate": r.indeterminate,
-                "worst_margin": r.worst_margin,
-            }
-            for r in results
-        ],
+        "sweeps": [dataclasses.asdict(r) for r in results],
     }
     lines = [
         "%-12s checked %-6d holds %-6d violations %-3d indeterminate %-3d worst %s"
@@ -430,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-analytic", help="run the certified inequality sweeps")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_verify_analytic)
 

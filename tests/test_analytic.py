@@ -21,6 +21,7 @@ from rungemod.analytic import (
     CheckReport,
     ErrorBall,
     RealInterval,
+    SweepResult,
     UpperHalfPoint,
     _dyadic_ceil,
     _escalate,
@@ -34,6 +35,7 @@ from rungemod.analytic import (
     nearest_cusp,
     padic_siegel_order,
     reduce_fundamental,
+    run_all_sweeps,
     sweep_cdplus,
     sweep_everysimple,
     sweep_pqj,
@@ -637,6 +639,52 @@ def test_sweep_determinism():
     assert a == b
     c = sweep_pqj(samples=10, seed=8)
     assert c != a
+
+
+# Exact outcomes of seeded sweeps: a change to any sampler's draw order, to a
+# check or to the tally changes at least one of these.
+FROZEN_SWEEPS_128 = [
+    SweepResult("pqj", 25, 25, 0, 0, 1.702352330338805e-06),
+    SweepResult("cdplus", 25, 25, 0, 0, 0.0006844920723724134),
+    SweepResult("siegel", 50, 50, 0, 0, 0.00021110234291723065),
+    SweepResult("smallj", 25, 25, 0, 0, 1.1868669757346473),
+    SweepResult("everysimple", 25, 25, 0, 0, 3667.8431821899144),
+]
+FROZEN_SWEEPS_1024 = [
+    SweepResult("pqj", 4, 4, 0, 0, 0.0004595873366828682),
+    SweepResult("cdplus", 4, 4, 0, 0, 0.0009742819553679163),
+    SweepResult("siegel", 8, 8, 0, 0, 0.00021110234291723065),
+    SweepResult("smallj", 4, 4, 0, 0, 1.9162448744783005),
+    SweepResult("everysimple", 4, 4, 0, 0, 3667.8431821899144),
+]
+
+
+def test_sweep_outcomes_frozen():
+    assert run_all_sweeps(samples=25, seed=42) == FROZEN_SWEEPS_128
+    assert run_all_sweeps(samples=4, seed=42, precision=1024) == FROZEN_SWEEPS_1024
+
+
+@pytest.mark.parametrize(
+    "a, tau, name",
+    [
+        (TorsionIndex(5, 0, 2), UpperHalfPoint(Fraction(1, 3), 1), "ega0"),
+        (TorsionIndex(5, 1, 2), UpperHalfPoint(Fraction(1, 7), Fraction(5, 2)), "ega1"),
+    ],
+)
+def test_siegel_bounds_evaluate_g_once(monkeypatch, a, tau, name):
+    calls = []
+    original = analytic.eval_siegel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "eval_siegel", counting)
+    reports = verify_siegel_bounds(a, tau)
+    assert [r.name for r in reports] == [name, "esmallj"]
+    assert all(r.holds and r.precision == DEFAULT_PRECISION for r in reports)
+    # one attempt at the starting precision, so one evaluation of g_a
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- escalation

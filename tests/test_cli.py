@@ -58,9 +58,11 @@ def test_bad_group_exit_two():
     assert rc == 2
 
 
-def test_jobs_must_be_positive():
-    rc, _ = invoke(["verify-analytic", "--samples", "5", "--jobs", "0"])
-    assert rc == 2
+def test_samples_must_be_positive():
+    # zero samples would certify nothing and still report success
+    for n in ("0", "-3"):
+        rc, text = invoke(["verify-analytic", "--samples", n])
+        assert rc == 2 and text == ""
 
 
 def test_bad_env_precision_exit_two(monkeypatch):
@@ -159,9 +161,7 @@ def test_bound_th1_via_cli():
 
 
 def test_verify_analytic_small_run():
-    rc, payload = invoke_json(
-        ["verify-analytic", "--samples", "10", "--seed", "3", "--jobs", "1"]
-    )
+    rc, payload = invoke_json(["verify-analytic", "--samples", "10", "--seed", "3"])
     assert rc == 0
     assert payload["violations"] == 0
     assert payload["indeterminate"] == 0
