@@ -3,11 +3,14 @@
 Usage:
     python3 scripts/cusp_census.py --kind split --max-p 101
     python3 scripts/cusp_census.py --kind borel --max-p 31 --check
+
+--check compares each row with the closed forms at prime level p, prints
+every row that disagrees and exits 1 if any does.
 """
 
 import argparse
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from rungemod.cusps import enumerate_cusps, galois_orbits, sl2_index
 from rungemod.modnt import parse_preset
@@ -30,6 +33,15 @@ def primes_to(bound: int) -> List[int]:
             for k in range(i * i, bound + 1, i):
                 sieve[k] = False
     return [p for p in range(3, bound + 1) if sieve[p]]
+
+
+def expected(kind: str, p: int) -> Tuple[int, int, List[int]]:
+    """Closed forms at prime level p: cusp count, SL2 index, orbit degrees."""
+    if kind == "split":
+        return (p + 1) // 2, p * (p + 1) // 2, sorted([1, (p - 1) // 2])
+    if kind == "borel":
+        return 2, p + 1, [1, 1]
+    return 1, 1, [1]
 
 
 def census(kind: str, max_p: int) -> List[CensusRow]:
@@ -57,18 +69,22 @@ def main() -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="assert the split-normalizer census identities (p+1)/2 and {1,(p-1)/2}",
+        help="check cusp counts, SL2 indices and orbit degrees against the closed forms",
     )
     args = ap.parse_args()
 
     rows = census(args.kind, args.max_p)
     print("%5s %6s %7s  %-18s %s" % ("p", "cusps", "index", "orbit degrees", "widths"))
+    failed = 0
     for r in rows:
         print("%5d %6d %7d  %-18s %s" % (r.p, r.cusps, r.index, r.degrees, r.widths))
-        if args.check and args.kind == "split":
-            assert r.cusps == (r.p + 1) // 2
-            assert r.degrees == sorted([1, (r.p - 1) // 2])
-    if args.check and args.kind == "split":
+        if args.check and (r.cusps, r.index, r.degrees) != expected(args.kind, r.p):
+            print("CHECK FAILED at p = %d: expected cusps, index, degrees %s"
+                  % (r.p, expected(args.kind, r.p)))
+            failed += 1
+    if args.check:
+        if failed:
+            return 1
         print("census identities hold for all %d primes" % len(rows))
     return 0
 

@@ -1,8 +1,11 @@
 """Cusps of X_G: enumeration, widths, rational orbits, place constants.
 
-A cusp is an orbit of <G meet SL2, -1> acting on primitive column vectors
+A cusp is an orbit of <G, -1> meet SL2 acting on primitive column vectors
 mod N, taken modulo sign; the orbit of the same classes under <G, -1> is
-the Galois orbit over Q (valid when det G is all of (Z/N)^*).
+the Galois orbit over Q (valid when det G is all of (Z/N)^*).  Both come
+from one breadth-first pass over the classes under the generators of G,
+which records the det of the generator word reaching each class; widths
+and the index in SL2 follow by counting, so no element set is read.
 """
 
 from __future__ import annotations
@@ -11,21 +14,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, log
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import BoundViolated, NotDefinedOverQ
-from .modnt import (
-    Mat,
-    SubgroupG,
-    det_image,
-    generated_orbit,
-    mat_inv,
-    mat_mul,
-    mat_neg,
-    mat_vec,
-    minus_identity_mat,
-    sl2_order,
-)
+from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, sl2_order, unit_count
 
 Vec = Tuple[int, int]
 
@@ -39,12 +31,13 @@ def canonical_class(v: Vec, n: int) -> Vec:
 
 def primitive_classes(n: int) -> List[Vec]:
     """All +/- classes of primitive vectors mod n, sorted."""
-    out: Set[Vec] = set()
-    for x in range(n):
-        for y in range(n):
-            if gcd(gcd(x, y), n) == 1:
-                out.add(canonical_class((x, y), n))
-    return sorted(out)
+    # each class by its lex-smaller member: x <= n/2, and y halved where x = -x
+    out: List[Vec] = []
+    for x in range(n // 2 + 1):
+        g = gcd(x, n)
+        half = x == -x % n
+        out.extend((x, y) for y in range(n) if gcd(g, y) == 1 and not (half and y > -y % n))
+    return out
 
 
 def sl2_lift(v: Vec, n: int) -> Mat:
@@ -124,69 +117,120 @@ class PlaceConstants:
         return None
 
 
-def _plusminus_sl2(G: SubgroupG) -> FrozenSet[Mat]:
-    """Element set of <G meet SL2, -1>."""
-    n = G.n
-    part = G.sl2_part()
-    return frozenset(part | {mat_neg(m, n) for m in part})
-
-
 @functools.lru_cache(maxsize=128)
-def _cusp_data(G: SubgroupG) -> Tuple[Tuple[CuspClass, ...], Dict[Vec, int]]:
-    """All cusps plus the map (vector class) -> cusp index."""
-    n = G.n
-    pm = _plusminus_sl2(G)
-    member_of: Dict[Vec, int] = {}
-    cusps: List[CuspClass] = []
+def _cusp_data(
+    G: SubgroupG,
+) -> Tuple[Tuple[CuspClass, ...], Dict[Vec, CuspClass], Tuple[CuspOrbit, ...]]:
+    """All cusps, the map (vector class) -> cusp, and the <G, -1>-orbits of cusps.
 
-    seeds = [(1 % n, 0)] + primitive_classes(n)
-    for seed in seeds:
+    One breadth-first pass per orbit of <G, -1> on the vector classes, from
+    the first class of the orbit in the order (1, 0), then the sorted
+    classes.  t[w] is the det of a generator word taking the seed to +/-w.
+    The ratios t(w)det(g)/t(g*w) over the orbit's edges generate
+    S = det(Stab(seed)) (Schreier), and Gamma = <G, -1> meet SL2 is the
+    kernel of det on <G, -1>, so two classes of the orbit lie in one cusp
+    iff their t-values lie in one coset of S.  A cusp c whose classes hold
+    |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c| matrices of SL2
+    taking e1 into V_c are Gamma*lift*U, and Gamma meets lift*U*lift^-1 in
+    N/width elements.
+    """
+    n = G.n
+    one = (1 % n, 0)
+    gens = [(g, mat_det(g, n)) for g in G.generator_mats()]
+    index = sl2_index(G)
+    gamma_order = sl2_order(n) // index
+    signs = 1 if n == 2 else 2  # vectors per +/- class: v = -v only mod 2
+
+    def seed_order(c: CuspClass) -> Tuple[bool, Vec]:
+        return c.rep != one, c.rep
+
+    member_of: Dict[Vec, CuspClass] = {}
+    orbits: List[CuspOrbit] = []
+
+    for seed in [one] + primitive_classes(n):
         if seed in member_of:
             continue
-        orbit = {canonical_class(mat_vec(h, seed, n), n) for h in pm}
-        idx = len(cusps)
-        for w in orbit:
-            member_of[w] = idx
-        rep = (1 % n, 0) if (1 % n, 0) in orbit else min(orbit)
-        lift = sl2_lift(rep, n)
-        width = _width_from_lift(lift, n, pm)
-        cusps.append(CuspClass(n=n, rep=rep, width=width, lift=lift))
-    return tuple(cusps), member_of
+        t = {seed: 1}
+        visited = [seed]
+        ratios: Set[int] = set()
+        for w in visited:
+            x, y = w
+            tw = t[w]
+            for (a, b, c, d), det_g in gens:
+                u, v = (a * x + b * y) % n, (c * x + d * y) % n
+                nu = -u % n
+                if u > nu or u == nu and v > -v % n:  # canonical_class, inlined
+                    u, v = nu, -v % n
+                key = (u, v)
+                tv = tw * det_g % n
+                old = t.get(key)
+                if old is None:
+                    t[key] = tv
+                    visited.append(key)
+                elif old != tv:
+                    ratios.add(tv * pow(old, -1, n) % n)
+        stab_dets = generated_orbit(1, ratios, lambda r, s: r * s % n)
 
+        coset_of: Dict[int, int] = {}
+        counts: List[int] = []
+        reps: List[Vec] = []
+        for w in visited:
+            k = coset_of.get(t[w])
+            if k is None:
+                k = len(counts)
+                coset_of.update((t[w] * s % n, k) for s in stab_dets)
+                counts.append(0)
+                reps.append(w)
+            counts[k] += 1
+            if w < reps[k]:
+                reps[k] = w
+        # the seed is (1, 0) or else the least class of its orbit
+        reps[0] = seed
 
-def _width_from_lift(lift: Mat, n: int, pm: FrozenSet[Mat]) -> int:
-    lift_inv = mat_inv(lift, n)
-    for e in sorted(d for d in range(1, n + 1) if n % d == 0):
-        conj = mat_mul(mat_mul(lift, (1, e % n, 0, 1), n), lift_inv, n)
-        if conj in pm:
-            return e
-    raise AssertionError("width search failed; (1, N; 0, 1) is always the identity mod N")
+        members = []
+        for rep, count in zip(reps, counts):
+            width, rem = divmod(n * count * signs, gamma_order)
+            if rem or n % width:
+                raise BoundViolated(f"width of cusp {rep} of {G.label} is not a divisor of {n}")
+            members.append(CuspClass(n=n, rep=rep, width=width, lift=sl2_lift(rep, n)))
+        for w in visited:
+            member_of[w] = members[coset_of[t[w]]]
+        members.sort(key=seed_order)
+        orbits.append(CuspOrbit(members=tuple(members)))
+
+    orbits.sort(key=lambda o: seed_order(o.members[0]))
+    cusps = sorted((c for o in orbits for c in o.members), key=seed_order)
+    if sum(c.width for c in cusps) != index:
+        raise BoundViolated(f"cusp widths of {G.label} do not sum to its index {index}")
+    return tuple(cusps), member_of, tuple(orbits)
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
     """One CuspClass per orbit; the class containing (1, 0) comes first."""
-    cusps, _ = _cusp_data(G)
-    return list(cusps)
+    return list(_cusp_data(G)[0])
 
 
 def cusp_containing(G: SubgroupG, v: Vec) -> CuspClass:
     """The cusp whose vector classes include v."""
-    cusps, member_of = _cusp_data(G)
+    _, member_of, _ = _cusp_data(G)
     key = canonical_class(v, G.n)
     if key not in member_of:
         raise ValueError(f"vector {v} is not primitive mod {G.n}")
-    return cusps[member_of[key]]
+    return member_of[key]
 
 
 def cusp_width(G: SubgroupG, c: CuspClass) -> int:
-    """Smallest e > 0 with lift*(1 e; 0 1)*lift^-1 in <G meet SL2, -1>."""
-    return _width_from_lift(c.lift, G.n, _plusminus_sl2(G))
+    """Width of the cusp of G that contains c.rep, looked up in the cusp data."""
+    return cusp_containing(G, c.rep).width
 
 
 def sl2_index(G: SubgroupG) -> int:
-    """Index of <G meet SL2, -1> in SL2(Z/N); equals the covering degree to X(1)."""
-    pm = _plusminus_sl2(G)
-    return sl2_order(G.n) // len(pm)
+    """Index of <G, -1> meet SL2 in SL2(Z/N); equals the covering degree to X(1).
+
+    <G, -1> meet SL2 is the kernel of det on <G, -1>: |<G, -1>| / |det G| elements.
+    """
+    plus_order = G.order if G.contains_minus_one else 2 * G.order
+    return sl2_order(G.n) * len(det_image(G).residues) // plus_order
 
 
 def galois_orbits(G: SubgroupG) -> List[CuspOrbit]:
@@ -195,25 +239,10 @@ def galois_orbits(G: SubgroupG) -> List[CuspOrbit]:
         raise NotDefinedOverQ(
             f"det image of {G.label} is a proper subgroup of (Z/{G.n})^*"
         )
-    cusps, member_of = _cusp_data(G)
-    n = G.n
-    gens = G.generator_mats() + (minus_identity_mat(n),)
-
-    def act(g: Mat, i: int) -> int:
-        return member_of[canonical_class(mat_vec(g, cusps[i].rep, n), n)]
-
-    seen: Set[int] = set()
-    orbits: List[List[int]] = []
-    for start in range(len(cusps)):
-        if start not in seen:
-            members = generated_orbit(start, gens, act)
-            seen.update(members)
-            orbits.append(sorted(members))
-
-    result = [CuspOrbit(members=tuple(cusps[i] for i in ms)) for ms in orbits]
-    if sum(o.degree for o in result) != len(cusps):
+    cusps, _, orbits = _cusp_data(G)
+    if sum(o.degree for o in orbits) != len(cusps):
         raise BoundViolated(f"Galois orbits of {G.label} do not partition its {len(cusps)} cusps")
-    return result
+    return list(orbits)
 
 
 def runge_condition(G: SubgroupG, s: int) -> bool:
@@ -228,6 +257,7 @@ def place_constants(kind: str, p: Optional[int] = None, n: Optional[int] = None)
 
     archimedean: R_v = 2500, r_v = 0.001.  Finite with v(N) = 0: both 1.
     Finite with v | p | N: R_v = p**(N/(p-1)), r_v its inverse.
+    Finite places need a prime p and a level n >= 1.
     """
     if kind == "archimedean":
         return PlaceConstants(
@@ -239,6 +269,8 @@ def place_constants(kind: str, p: Optional[int] = None, n: Optional[int] = None)
         raise ValueError(f"place kind must be archimedean or finite, got {kind!r}")
     if p is None or n is None:
         raise ValueError("finite places need the residue characteristic p and the level n")
+    if unit_count(p) != p - 1 or n < 1:  # phi(p) = p - 1 only for primes p
+        raise ValueError(f"finite places need a prime p and a level n >= 1, got p={p}, n={n}")
     if n % p != 0:
         return PlaceConstants(
             kind=kind, p=p, v_divides_n=False,

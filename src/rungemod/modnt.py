@@ -1,10 +1,11 @@
 """Exact 2x2 matrix arithmetic over Z/N and enumerated subgroups of GL2(Z/N).
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
-Subgroups store their complete element set, which gives |G| and G meet SL2;
-the determinant image and the orbits that downstream sums over G reduce to
-are found breadth-first from the generators, exact by orbit-stabilizer.
-Feasibility is protected by hard caps on modulus and order.
+Subgroups store their complete element set, which gives only |G| and
+whether -1 lies in G; the determinant image, the cusps and the orbits that
+downstream sums over G reduce to are found breadth-first from the
+generators, exact by orbit-stabilizer.  Feasibility is protected by hard
+caps on modulus and order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import (
     Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TypeVar,
 )
 
-from .errors import ModulusMismatch, NonInvertibleGenerator, UnsupportedModulus
+from .errors import BoundViolated, NonInvertibleGenerator, UnsupportedModulus
 
 Mat = Tuple[int, int, int, int]
 
@@ -68,10 +69,6 @@ def mat_inv(m: Mat, n: int) -> Mat:
     return ((m[3] * di) % n, (-m[1] * di) % n, (-m[2] * di) % n, (m[0] * di) % n)
 
 
-def mat_neg(m: Mat, n: int) -> Mat:
-    return ((-m[0]) % n, (-m[1]) % n, (-m[2]) % n, (-m[3]) % n)
-
-
 def mat_vec(m: Mat, v: Tuple[int, int], n: int) -> Tuple[int, int]:
     """Column vector v -> m*v."""
     return ((m[0] * v[0] + m[1] * v[1]) % n, (m[2] * v[0] + m[3] * v[1]) % n)
@@ -112,58 +109,18 @@ def minus_identity_mat(n: int) -> Mat:
 
 
 @dataclass(frozen=True)
-class ResidueMatrix:
-    """A 2x2 matrix over Z/N with entries stored as least nonnegative residues."""
-
-    n: int
-    entries: Mat
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "entries", mat_reduce(self.entries, self.n))
-
-    @property
-    def det(self) -> int:
-        return mat_det(self.entries, self.n)
-
-    @property
-    def is_invertible(self) -> bool:
-        from math import gcd
-
-        return gcd(self.det, self.n) == 1
-
-    def __mul__(self, other: "ResidueMatrix") -> "ResidueMatrix":
-        if self.n != other.n:
-            raise ModulusMismatch(f"moduli differ: {self.n} vs {other.n}")
-        return ResidueMatrix(self.n, mat_mul(self.entries, other.entries, self.n))
-
-    def inverse(self) -> "ResidueMatrix":
-        if not self.is_invertible:
-            raise NonInvertibleGenerator(f"matrix {self.entries} not invertible mod {self.n}")
-        return ResidueMatrix(self.n, mat_inv(self.entries, self.n))
-
-    @staticmethod
-    def identity(n: int) -> "ResidueMatrix":
-        return ResidueMatrix(n, identity_mat())
-
-    @staticmethod
-    def minus_identity(n: int) -> "ResidueMatrix":
-        return ResidueMatrix(n, minus_identity_mat(n))
-
-
-@dataclass(frozen=True)
 class SubgroupG:
     """A subgroup of GL2(Z/N) with its full element set enumerated.
 
-    Invariant: `generators` generate `elements`.  `elements` holds raw
-    4-tuples and gives |G| and G meet SL2; the generators, kept as
-    ResidueMatrix values, drive the determinant image and every orbit
-    search (Galois orbits, trace columns, column classes).
+    Invariant: `generators` generate `elements`.  Both hold reduced
+    4-tuples.  `elements` gives only |G| and whether -1 lies in G, and is
+    read only where a group is built; the generators drive the determinant
+    image and every orbit search (cusps, Galois orbits, trace columns,
+    column classes).
     """
 
     n: int
-    generators: Tuple[ResidueMatrix, ...]
+    generators: Tuple[Mat, ...]
     elements: FrozenSet[Mat]
     order: int
     contains_minus_one: bool
@@ -173,13 +130,8 @@ class SubgroupG:
         if self.order != len(self.elements):
             raise ValueError("order does not match element count")
 
-    def sl2_part(self) -> FrozenSet[Mat]:
-        """Elements of determinant 1."""
-        n = self.n
-        return frozenset(m for m in self.elements if mat_det(m, n) == 1)
-
     def generator_mats(self) -> Tuple[Mat, ...]:
-        return tuple(g.entries for g in self.generators)
+        return self.generators
 
 
 @dataclass(frozen=True)
@@ -232,26 +184,23 @@ def sl2_order(n: int) -> int:
 
 def generate_subgroup(
     n: int,
-    gens: Sequence[ResidueMatrix],
+    gens: Sequence[Sequence[int]],
     *,
     max_modulus: int = MAX_USER_MODULUS,
     max_order: int = MAX_ENUMERATED_ORDER,
     label: str = "custom",
 ) -> SubgroupG:
-    """Closure of `gens` under multiplication, breadth-first.
+    """Closure of `gens`, each reduced mod n, under multiplication, breadth-first.
 
     Inverses come for free: the closure of a finite set of invertible
     matrices under products is already a group.
     """
     if n < 2 or n > max_modulus:
         raise UnsupportedModulus(f"modulus {n} outside supported range 2..{max_modulus}")
-    gen_mats: List[Mat] = []
-    for g in gens:
-        if g.n != n:
-            raise ModulusMismatch(f"generator modulus {g.n} != {n}")
-        if not g.is_invertible:
-            raise NonInvertibleGenerator(f"generator {g.entries} has det {g.det} mod {n}")
-        gen_mats.append(g.entries)
+    gen_mats = [mat_reduce(g, n) for g in gens]
+    for g in gen_mats:
+        if egcd(mat_det(g, n), n)[0] != 1:
+            raise NonInvertibleGenerator(f"generator {g} has det {mat_det(g, n)} mod {n}")
 
     ident = identity_mat()
     seen: Set[Mat] = {ident}
@@ -272,7 +221,7 @@ def generate_subgroup(
 
     return SubgroupG(
         n=n,
-        generators=tuple(gens),
+        generators=tuple(gen_mats),
         elements=frozenset(seen),
         order=len(seen),
         contains_minus_one=minus_identity_mat(n) in seen,
@@ -282,8 +231,10 @@ def generate_subgroup(
 
 def kernel_level_group(n: int) -> SubgroupG:
     """The subgroup {1, -1}: the curve with full level-N structure."""
-    minus = ResidueMatrix.minus_identity(n)
-    elems = frozenset({identity_mat(), minus.entries})
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    minus = minus_identity_mat(n)
+    elems = frozenset({identity_mat(), minus})
     return SubgroupG(
         n=n,
         generators=(minus,),
@@ -366,7 +317,7 @@ def preset_subgroup(
     units = [u for u in range(1, m) if u % p != 0]
 
     elems: Set[Mat] = set()
-    gens: List[ResidueMatrix] = []
+    gens: List[Mat] = []
     expected: int
 
     if kind == "split_normalizer":
@@ -375,11 +326,7 @@ def preset_subgroup(
                 elems.add((a, 0, 0, d))
                 elems.add((0, a, d, 0))
         g = primitive_root(m)
-        gens = [
-            ResidueMatrix(m, (g, 0, 0, 1)),
-            ResidueMatrix(m, (1, 0, 0, g)),
-            ResidueMatrix(m, (0, 1, 1, 0)),
-        ]
+        gens = [(g, 0, 0, 1), (1, 0, 0, g), (0, 1, 1, 0)]
         expected = 2 * phi * phi
     elif kind == "nonsplit_normalizer":
         eps = smallest_nonresidue(p)
@@ -389,8 +336,7 @@ def preset_subgroup(
                     continue
                 elems.add((a, (b * eps) % m, b, a))
                 elems.add((a, (b * eps) % m, (-b) % m, (-a) % m))
-        eta = ResidueMatrix(m, (1, 0, 0, -1))
-        gens = _nonsplit_generators(m, p, eps) + [eta]
+        gens = _nonsplit_generators(m, p, eps) + [(1, 0, 0, m - 1)]
         expected = 2 * p ** (2 * (exponent - 1)) * (p * p - 1)
     elif kind == "borel":
         if phi * phi * m > max_order:
@@ -402,11 +348,7 @@ def preset_subgroup(
                 for b in range(m):
                     elems.add((a, b, 0, d))
         g = primitive_root(m)
-        gens = [
-            ResidueMatrix(m, (g, 0, 0, 1)),
-            ResidueMatrix(m, (1, 0, 0, g)),
-            ResidueMatrix(m, (1, 1, 0, 1)),
-        ]
+        gens = [(g, 0, 0, 1), (1, 0, 0, g), (1, 1, 0, 1)]
         expected = phi * phi * m
     else:  # full
         expected = gl2_order(m)
@@ -421,14 +363,10 @@ def preset_subgroup(
                         if (a * d - b * c) % p != 0:
                             elems.add((a, b, c, d))
         g = primitive_root(m)
-        gens = [
-            ResidueMatrix(m, (g, 0, 0, 1)),
-            ResidueMatrix(m, (1, 1, 0, 1)),
-            ResidueMatrix(m, (0, -1, 1, 0)),
-        ]
+        gens = [(g, 0, 0, 1), (1, 1, 0, 1), (0, m - 1, 1, 0)]
 
     if len(elems) != expected:
-        raise AssertionError(
+        raise BoundViolated(
             f"preset {kind} mod {m}: got {len(elems)} elements, expected {expected}"
         )
     group = SubgroupG(
@@ -440,11 +378,11 @@ def preset_subgroup(
         label=f"{_PRESET_SHORT[kind]}:{p}" + (f"^{exponent}" if exponent > 1 else ""),
     )
     if not group.contains_minus_one:
-        raise AssertionError(f"preset {kind} mod {m} lost -1")
+        raise BoundViolated(f"preset {kind} mod {m} lost -1")
     return group
 
 
-def _nonsplit_generators(m: int, p: int, eps: int) -> List[ResidueMatrix]:
+def _nonsplit_generators(m: int, p: int, eps: int) -> List[Mat]:
     """Generators of the nonsplit torus mod m = p^k.
 
     A Teichmueller-type element of maximal prime-to-p order plus, for k > 1,
@@ -463,7 +401,7 @@ def _nonsplit_generators(m: int, p: int, eps: int) -> List[ResidueMatrix]:
             cur = mat_mul(cur, mat, m)
             k += 1
             if k > m * m:
-                raise AssertionError("runaway order computation")
+                raise BoundViolated("runaway order computation")
         return k
 
     gen: Optional[Mat] = None
@@ -478,11 +416,11 @@ def _nonsplit_generators(m: int, p: int, eps: int) -> List[ResidueMatrix]:
         if gen is not None:
             break
     if gen is None:
-        raise AssertionError(f"no generator of the nonsplit torus mod {p}")
-    out = [ResidueMatrix(m, gen)]
+        raise BoundViolated(f"no generator of the nonsplit torus mod {p}")
+    out = [gen]
     if m != p:
-        out.append(ResidueMatrix(m, ((1 + p) % m, 0, 0, (1 + p) % m)))
-        out.append(ResidueMatrix(m, (1, (p * eps) % m, p % m, 1)))
+        out.append(((1 + p) % m, 0, 0, (1 + p) % m))
+        out.append((1, (p * eps) % m, p % m, 1))
     return out
 
 
@@ -543,11 +481,11 @@ def parse_group_text(text: str, **kwargs) -> SubgroupG:
         n = int(lines[0].split("=", 1)[1])
     except ValueError as exc:
         raise ValueError(f"bad modulus line {lines[0]!r}") from exc
-    gens: List[ResidueMatrix] = []
+    gens: List[Mat] = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ValueError(f"generator line must have 4 integers, got {ln!r}")
         a, b, c, d = (int(x) for x in parts)
-        gens.append(ResidueMatrix(n, (a, b, c, d)))
+        gens.append((a, b, c, d))
     return generate_subgroup(n, gens, **kwargs)

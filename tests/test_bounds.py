@@ -34,7 +34,7 @@ from rungemod.bounds import (
     twist_equation,
 )
 from rungemod.errors import BoundViolated, DegenerateJ, HypothesisFailed, NotDefinedOverQ, PrecisionExhausted
-from rungemod.modnt import ResidueMatrix, generate_subgroup, preset_subgroup
+from rungemod.modnt import generate_subgroup, preset_subgroup
 
 
 def dyadic(x) -> Fraction:
@@ -138,8 +138,7 @@ def test_th1_transitive_rejected():
 
 
 def test_th1_needs_full_determinant():
-    gens = [ResidueMatrix(5, (1, 1, 0, 1)), ResidueMatrix(5, (0, 4, 1, 0))]
-    G = generate_subgroup(5, gens)
+    G = generate_subgroup(5, [(1, 1, 0, 1), (0, 4, 1, 0)])
     with pytest.raises(NotDefinedOverQ):
         bound_th1(G)
 

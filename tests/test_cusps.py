@@ -1,6 +1,7 @@
 """Cusp enumeration, widths, rational orbits, place constants."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import rungemod.cusps as cusps_mod
 from rungemod.cusps import (
+    CuspOrbit,
     canonical_class,
     cusp_containing,
     cusp_width,
@@ -21,7 +23,6 @@ from rungemod.cusps import (
 )
 from rungemod.errors import BoundViolated, NotDefinedOverQ
 from rungemod.modnt import (
-    ResidueMatrix,
     generate_subgroup,
     kernel_level_group,
     mat_det,
@@ -39,9 +40,12 @@ def test_split_5_cusp_count_and_structure():
 
 def test_overlapping_galois_orbits_are_caught(monkeypatch):
     # every orbit also claims cusp 0, so the degrees overcount the cusps
-    monkeypatch.setattr(cusps_mod, "generated_orbit", lambda start, gens, act: {start, 0})
+    G = preset_subgroup("split_normalizer", 5)
+    cusps, member_of, orbits = cusps_mod._cusp_data(G)
+    overlapping = tuple(CuspOrbit(members=(cusps[0],) + o.members) for o in orbits)
+    monkeypatch.setattr(cusps_mod, "_cusp_data", lambda G: (cusps, member_of, overlapping))
     with pytest.raises(BoundViolated):
-        galois_orbits(preset_subgroup("split_normalizer", 5))
+        galois_orbits(G)
 
 
 def test_split_13_cusp_count():
@@ -96,17 +100,15 @@ def test_width_sum_identity_other_presets():
         assert sum(c.width for c in enumerate_cusps(G)) == sl2_index(G)
 
 
-def test_width_independent_of_lift():
-    G = preset_subgroup("split_normalizer", 7)
-    for c in enumerate_cusps(G):
-        # alternative lift: multiply on the right by (1 1; 0 1), which fixes
-        # the first column and stays in SL2
-        from rungemod.cusps import CuspClass, _plusminus_sl2, _width_from_lift
-        from rungemod.modnt import mat_mul
-
-        alt = mat_mul(c.lift, (1, 1, 0, 1), G.n)
-        assert alt[0] == c.lift[0] and alt[2] == c.lift[2]
-        assert _width_from_lift(alt, G.n, _plusminus_sl2(G)) == c.width
+def test_primitive_classes_match_brute_force():
+    for n in range(2, 40):
+        brute = {
+            canonical_class((x, y), n)
+            for x in range(n)
+            for y in range(n)
+            if gcd(gcd(x, y), n) == 1
+        }
+        assert primitive_classes(n) == sorted(brute)
 
 
 def test_lift_shape():
@@ -146,7 +148,7 @@ def test_galois_orbits_requires_full_det():
     with pytest.raises(NotDefinedOverQ):
         galois_orbits(kernel_level_group(5))
     with pytest.raises(NotDefinedOverQ):
-        galois_orbits(generate_subgroup(5, [ResidueMatrix.identity(5)]))
+        galois_orbits(generate_subgroup(5, [(1, 0, 0, 1)]))
 
 
 def test_runge_condition():
@@ -200,6 +202,12 @@ def test_place_constants_table():
         place_constants("finite")
     with pytest.raises(ValueError):
         place_constants("padic", p=3, n=3)
+
+
+@pytest.mark.parametrize("p,n", [(0, 5), (1, 5), (4, 4), (-3, 3), (9, 9), (3, 0), (5, -5)])
+def test_place_constants_need_prime_p_and_positive_level(p, n):
+    with pytest.raises(ValueError):
+        place_constants("finite", p=p, n=n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,21 +3,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import rungemod.modnt as modnt
 from rungemod.errors import (
-    ModulusMismatch,
+    BoundViolated,
     NonInvertibleGenerator,
     UnsupportedModulus,
 )
 from rungemod.modnt import (
-    ResidueMatrix,
     det_image,
     generate_subgroup,
     gl2_order,
     kernel_level_group,
-    mat_det,
     mat_inv,
     mat_mul,
     parse_group_text,
@@ -43,7 +40,7 @@ def brute_force_gl2(n):
 
 
 def test_identity_only():
-    G = generate_subgroup(5, [ResidueMatrix.identity(5)])
+    G = generate_subgroup(5, [(1, 0, 0, 1)])
     assert G.order == 1
     assert not G.contains_minus_one
 
@@ -51,20 +48,14 @@ def test_identity_only():
 def test_full_closure_mod3_matches_brute_force():
     oracle = brute_force_gl2(3)
     assert len(oracle) == 48
-    gens = [ResidueMatrix(3, m) for m in sorted(oracle)]
-    G = generate_subgroup(3, gens)
+    G = generate_subgroup(3, sorted(oracle))
     assert G.order == 48
     assert G.elements == frozenset(oracle)
     assert gl2_order(3) == 48
 
 
 def test_split_normalizer_order_from_explicit_generators():
-    gens = [
-        ResidueMatrix(5, (2, 0, 0, 1)),
-        ResidueMatrix(5, (1, 0, 0, 2)),
-        ResidueMatrix(5, (0, 1, 1, 0)),
-    ]
-    G = generate_subgroup(5, gens)
+    G = generate_subgroup(5, [(2, 0, 0, 1), (1, 0, 0, 2), (0, 1, 1, 0)])
     assert G.order == 32  # 2*(p-1)^2 at p=5
 
 
@@ -137,15 +128,12 @@ def test_conjugation_invariance():
     for _ in range(5):
         gamma = rng.choice(full)
         gamma_inv = mat_inv(gamma, 5)
-        gens = [
-            ResidueMatrix(5, mat_mul(mat_mul(gamma, g.entries, 5), gamma_inv, 5))
-            for g in G.generators
-        ]
+        gens = [mat_mul(mat_mul(gamma, g, 5), gamma_inv, 5) for g in G.generators]
         assert generate_subgroup(5, gens).order == G.order
 
 
 def test_det_image_trivial_and_full():
-    G1 = generate_subgroup(5, [ResidueMatrix.identity(5)])
+    G1 = generate_subgroup(5, [(1, 0, 0, 1)])
     d1 = det_image(G1)
     assert d1.residues == frozenset({1}) and not d1.is_full
 
@@ -156,6 +144,14 @@ def test_det_image_trivial_and_full():
     assert d3.is_full
 
 
+def test_preset_self_checks_raise_bound_violated(monkeypatch):
+    # a wrong phi makes the enumerated element count disagree with the closed
+    # form; the check raises, so it also holds under python -O
+    monkeypatch.setattr(modnt, "unit_count", lambda n: n)
+    with pytest.raises(BoundViolated):
+        preset_subgroup("split_normalizer", 5)
+
+
 def test_kernel_level_group():
     G = kernel_level_group(5)
     assert G.order == 2 and G.contains_minus_one
@@ -164,12 +160,15 @@ def test_kernel_level_group():
 
 def test_noninvertible_generator_rejected():
     with pytest.raises(NonInvertibleGenerator):
-        generate_subgroup(6, [ResidueMatrix(6, (2, 0, 0, 1))])
+        generate_subgroup(6, [(2, 0, 0, 1)])
+    with pytest.raises(NonInvertibleGenerator):
+        generate_subgroup(6, [(1, 0, 0, 1), (8, 0, 0, 1)])  # det 8 = 2 mod 6
 
 
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ModulusMismatch):
-        generate_subgroup(5, [ResidueMatrix(7, (1, 0, 0, 1))])
+def test_generators_reduced_mod_n():
+    G = generate_subgroup(5, [(7, -5, 10, -4), (-1, 0, 0, 1)])
+    assert G.generators == ((2, 0, 0, 1), (4, 0, 0, 1))
+    assert G.order == 4
 
 
 def test_unsupported_modulus():
@@ -182,7 +181,7 @@ def test_unsupported_modulus():
     with pytest.raises(UnsupportedModulus):
         preset_subgroup("full", 7, 3)  # |GL2(Z/343)| over the element cap
     with pytest.raises(UnsupportedModulus):
-        generate_subgroup(103, [ResidueMatrix.identity(103)])
+        generate_subgroup(103, [(1, 0, 0, 1)])
 
 
 def test_parse_preset_shorthand():
@@ -218,17 +217,6 @@ def test_primitive_root_small_cases():
     phi = unit_count(27)
     assert pow(g, phi, 27) == 1
     assert all(pow(g, phi // q, 27) != 1 for q in (2, 3))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12]), st.data())
-def test_residue_matrix_mul_matches_tuple_ops(n, data):
-    entries1 = tuple(data.draw(st.integers(-20, 20)) for _ in range(4))
-    entries2 = tuple(data.draw(st.integers(-20, 20)) for _ in range(4))
-    m1 = ResidueMatrix(n, entries1)
-    m2 = ResidueMatrix(n, entries2)
-    assert (m1 * m2).entries == mat_mul(m1.entries, m2.entries, n)
-    assert m1.det == mat_det(m1.entries, n)
 
 
 def test_gl2_order_composite():

@@ -32,3 +32,17 @@ def test_margin_scan_no_samples_fails_cleanly():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "NO CERTIFIED MARGIN" in proc.stdout
+
+
+def test_cusp_census_split_check():
+    proc = run_script("cusp_census.py", "--kind", "split", "--max-p", "13", "--check")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "census identities hold for all 5 primes" in proc.stdout
+    assert "CHECK FAILED" not in proc.stdout
+
+
+def test_cusp_census_borel_check():
+    proc = run_script("cusp_census.py", "--kind", "borel", "--max-p", "13", "--check")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "census identities hold for all 5 primes" in proc.stdout
+    assert "CHECK FAILED" not in proc.stdout
