@@ -4,8 +4,8 @@ Usage:
     python3 scripts/cusp_census.py --kind split --max-p 101
     python3 scripts/cusp_census.py --kind borel --max-p 31 --check
 
---check compares each row with the closed forms at prime level p, prints
-every row that disagrees and exits 1 if any does.
+--check compares each row and the group order with the closed forms at
+prime level p, prints every row that disagrees and exits 1 if any does.
 """
 
 import argparse
@@ -19,6 +19,7 @@ from rungemod.modnt import parse_preset
 @dataclass(frozen=True)
 class CensusRow:
     p: int
+    order: int
     cusps: int
     index: int
     degrees: List[int]
@@ -35,13 +36,13 @@ def primes_to(bound: int) -> List[int]:
     return [p for p in range(3, bound + 1) if sieve[p]]
 
 
-def expected(kind: str, p: int) -> Tuple[int, int, List[int]]:
-    """Closed forms at prime level p: cusp count, SL2 index, orbit degrees."""
+def expected(kind: str, p: int) -> Tuple[int, int, int, List[int]]:
+    """Closed forms at prime level p: group order, cusp count, SL2 index, orbit degrees."""
     if kind == "split":
-        return (p + 1) // 2, p * (p + 1) // 2, sorted([1, (p - 1) // 2])
+        return 2 * (p - 1) ** 2, (p + 1) // 2, p * (p + 1) // 2, sorted([1, (p - 1) // 2])
     if kind == "borel":
-        return 2, p + 1, [1, 1]
-    return 1, 1, [1]
+        return p * (p - 1) ** 2, 2, p + 1, [1, 1]
+    return (p * p - 1) * (p * p - p), 1, 1, [1]
 
 
 def census(kind: str, max_p: int) -> List[CensusRow]:
@@ -53,6 +54,7 @@ def census(kind: str, max_p: int) -> List[CensusRow]:
         rows.append(
             CensusRow(
                 p=p,
+                order=G.order,
                 cusps=len(cusps),
                 index=sl2_index(G),
                 degrees=sorted(o.degree for o in orbits),
@@ -69,7 +71,8 @@ def main() -> int:
     ap.add_argument(
         "--check",
         action="store_true",
-        help="check cusp counts, SL2 indices and orbit degrees against the closed forms",
+        help="check group orders, cusp counts, SL2 indices and orbit degrees "
+        "against the closed forms",
     )
     args = ap.parse_args()
 
@@ -78,9 +81,10 @@ def main() -> int:
     failed = 0
     for r in rows:
         print("%5d %6d %7d  %-18s %s" % (r.p, r.cusps, r.index, r.degrees, r.widths))
-        if args.check and (r.cusps, r.index, r.degrees) != expected(args.kind, r.p):
-            print("CHECK FAILED at p = %d: expected cusps, index, degrees %s"
-                  % (r.p, expected(args.kind, r.p)))
+        got = (r.order, r.cusps, r.index, r.degrees)
+        if args.check and got != expected(args.kind, r.p):
+            print("CHECK FAILED at p = %d: expected order, cusps, index, degrees %s, got %s"
+                  % (r.p, expected(args.kind, r.p), got))
             failed += 1
     if args.check:
         if failed:

@@ -1,15 +1,17 @@
-"""Exact 2x2 matrix arithmetic over Z/N and enumerated subgroups of GL2(Z/N).
+"""Exact 2x2 matrix arithmetic over Z/N and subgroups of GL2(Z/N) given by generators.
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
-Subgroups store their complete element set, which gives only |G| and
-whether -1 lies in G; the determinant image, the cusps and the orbits that
-downstream sums over G reduce to are found breadth-first from the
-generators, exact by orbit-stabilizer.  Feasibility is protected by hard
-caps on modulus and order.
+A subgroup is described by its generators alone: |G| and whether -1 lies
+in G come from a two-point stabilizer chain with base (e1, e2), found
+breadth-first over the orbit G*e1, and the determinant image, the cusps and
+the orbits that downstream sums over G reduce to are orbits under the
+generators, exact by orbit-stabilizer.  No element set is stored; moduli
+are capped.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import (
     Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TypeVar,
@@ -21,7 +23,6 @@ Mat = Tuple[int, int, int, int]
 
 MAX_USER_MODULUS = 101
 MAX_PRESET_MODULUS = 343
-MAX_ENUMERATED_ORDER = 20_000_000
 
 PRESET_KINDS = ("split_normalizer", "nonsplit_normalizer", "borel", "full")
 
@@ -110,28 +111,38 @@ def minus_identity_mat(n: int) -> Mat:
 
 @dataclass(frozen=True)
 class SubgroupG:
-    """A subgroup of GL2(Z/N) with its full element set enumerated.
+    """A subgroup of GL2(Z/N), described by its generators.
 
-    Invariant: `generators` generate `elements`.  Both hold reduced
-    4-tuples.  `elements` gives only |G| and whether -1 lies in G, and is
-    read only where a group is built; the generators drive the determinant
-    image and every orbit search (cusps, Galois orbits, trace columns,
-    column classes).
+    Invariant: `generators` (reduced 4-tuples) generate a group of `order`
+    elements, which contains -1 iff `contains_minus_one`; both facts come
+    from the stabilizer chain when the group is built.  The generators
+    drive the determinant image and every orbit search (cusps, Galois
+    orbits, trace rows, column classes).
     """
 
     n: int
     generators: Tuple[Mat, ...]
-    elements: FrozenSet[Mat]
     order: int
     contains_minus_one: bool
     label: str = "custom"
 
-    def __post_init__(self) -> None:
-        if self.order != len(self.elements):
-            raise ValueError("order does not match element count")
-
     def generator_mats(self) -> Tuple[Mat, ...]:
         return self.generators
+
+    @functools.cached_property
+    def elements(self) -> FrozenSet[Mat]:
+        """Every element, built on demand as u_x*(1 b; 0 d) from the chain.
+
+        The library never reads it; it stays for callers that hash or search
+        a small group's element set, like the benchmark fingerprint and tests.
+        """
+        n = self.n
+        transversal, stab = _stabilizer_chain(n, self.generators)
+        return frozenset(
+            (x0, (x0 * b + y0 * d) % n, x1, (x1 * b + y1 * d) % n)
+            for (x0, x1), (y0, y1, _) in transversal.items()
+            for b, d in stab
+        )
 
 
 @dataclass(frozen=True)
@@ -182,67 +193,90 @@ def sl2_order(n: int) -> int:
     return gl2_order(n) // unit_count(n)
 
 
+Column = Tuple[int, int]
+
+
+def _stabilizer_chain(
+    n: int, gens: Sequence[Mat]
+) -> Tuple[Dict[Column, Tuple[int, int, int]], Set[Column]]:
+    """Two-point stabilizer chain of the group G generated by `gens`, base (e1, e2).
+
+    Breadth-first over the orbit G*e1, each vertex x keeps the second column
+    y and the inverse det of a generator word u_x with u_x*e1 = x: the
+    transversal maps x to (y0, y1, 1/det u_x).  An edge x -> z = g*x to a
+    vertex already seen gives the Schreier element u_z^-1*g*u_x, found with
+    the adjugate of u_z.  It fixes e1, so it is (1 b; 0 d) and is stored as
+    its second column (b, d); these elements generate Stab(e1) (Schreier's
+    lemma).  So |G| = |G*e1| * |Stab(e1)| without listing G.
+    """
+    e1 = (1, 0)
+    dets_inv = [pow(mat_det(g, n), -1, n) for g in gens]
+    transversal = {e1: (0, 1, 1)}
+    queue = [e1]
+    stab: Set[Column] = {(0, 1)}
+    stab_gens: List[Column] = []
+    for x in queue:
+        x0, x1 = x
+        y0, y1, di = transversal[x]
+        for (a, b, c, d), gdi in zip(gens, dets_inv):
+            z = ((a * x0 + b * x1) % n, (c * x0 + d * x1) % n)
+            w0, w1 = (a * y0 + b * y1) % n, (c * y0 + d * y1) % n
+            known = transversal.get(z)
+            if known is None:
+                transversal[z] = (w0, w1, di * gdi % n)
+                queue.append(z)
+                continue
+            v0, v1, zdi = known
+            s = ((v1 * w0 - v0 * w1) * zdi % n, (z[0] * w1 - z[1] * w0) * zdi % n)
+            if s in stab:
+                continue
+            # Dimino's step: <stab, s> is a union of cosets H*r of the old group
+            # H, with (b, d)*(b', d') = (b' + b*d', d*d'); a rep r and a
+            # generator t open a new coset exactly when r*t lies in none so far
+            stab_gens.append(s)
+            old = list(stab)
+            reps = [(0, 1)]
+            for rb, rd in reps:
+                for tb, td in stab_gens:
+                    r = ((tb + rb * td) % n, rd * td % n)
+                    if r not in stab:
+                        stab.update(((r[0] + hb * r[1]) % n, hd * r[1] % n) for hb, hd in old)
+                        reps.append(r)
+    return transversal, stab
+
+
+def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
+    """SubgroupG for reduced invertible generators, its order and -1 from the chain."""
+    transversal, stab = _stabilizer_chain(n, gens)
+    # sift -1: it takes e1 to z = -e1, and u_z^-1 * (-1) must lie in
+    # Stab(e1); its second column adj(u_z) * (-e2) / det u_z is (y0, 1) / det u_z
+    minus = transversal.get(((-1) % n, 0))
+    contains_minus_one = minus is not None and (minus[0] * minus[2] % n, minus[2]) in stab
+    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), contains_minus_one, label)
+
+
 def generate_subgroup(
     n: int,
     gens: Sequence[Sequence[int]],
     *,
     max_modulus: int = MAX_USER_MODULUS,
-    max_order: int = MAX_ENUMERATED_ORDER,
     label: str = "custom",
 ) -> SubgroupG:
-    """Closure of `gens`, each reduced mod n, under multiplication, breadth-first.
-
-    Inverses come for free: the closure of a finite set of invertible
-    matrices under products is already a group.
-    """
+    """The subgroup of GL2(Z/n) generated by `gens`, each reduced mod n."""
     if n < 2 or n > max_modulus:
         raise UnsupportedModulus(f"modulus {n} outside supported range 2..{max_modulus}")
     gen_mats = [mat_reduce(g, n) for g in gens]
     for g in gen_mats:
         if egcd(mat_det(g, n), n)[0] != 1:
             raise NonInvertibleGenerator(f"generator {g} has det {mat_det(g, n)} mod {n}")
-
-    ident = identity_mat()
-    seen: Set[Mat] = {ident}
-    frontier: List[Mat] = [ident]
-    while frontier:
-        nxt: List[Mat] = []
-        for m in frontier:
-            for g in gen_mats:
-                prod = mat_mul(m, g, n)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        if len(seen) > max_order:
-            raise UnsupportedModulus(
-                f"closure exceeds {max_order} elements; full enumeration is the design contract"
-            )
-        frontier = nxt
-
-    return SubgroupG(
-        n=n,
-        generators=tuple(gen_mats),
-        elements=frozenset(seen),
-        order=len(seen),
-        contains_minus_one=minus_identity_mat(n) in seen,
-        label=label,
-    )
+    return _subgroup(n, gen_mats, label)
 
 
 def kernel_level_group(n: int) -> SubgroupG:
     """The subgroup {1, -1}: the curve with full level-N structure."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    minus = minus_identity_mat(n)
-    elems = frozenset({identity_mat(), minus})
-    return SubgroupG(
-        n=n,
-        generators=(minus,),
-        elements=elems,
-        order=len(elems),
-        contains_minus_one=True,
-        label=f"kernel:{n}",
-    )
+    return _subgroup(n, (minus_identity_mat(n),), f"kernel:{n}")
 
 
 def _factorize(n: int) -> Dict[int, int]:
@@ -300,83 +334,45 @@ def preset_subgroup(
     exponent: int = 1,
     *,
     max_modulus: int = MAX_PRESET_MODULUS,
-    max_order: int = MAX_ENUMERATED_ORDER,
 ) -> SubgroupG:
-    """Construct one of the named subgroups mod p^exponent directly.
+    """Construct one of the named subgroups mod p^exponent from its generators.
 
     split_normalizer: diagonal plus antidiagonal invertible matrices.
     nonsplit_normalizer: matrices (a, b*eps; b, a) for a fixed non-residue
     eps, together with the coset by diag(1, -1).
     borel: invertible upper-triangular matrices.
     full: all of GL2(Z/p^exponent).
+    The generators are the only description; their chain order must equal
+    the closed form for the kind, and the group must contain -1.
     """
     if kind not in PRESET_KINDS:
         raise ValueError(f"unknown preset kind {kind!r}; choose from {PRESET_KINDS}")
     m = _check_preset_modulus(p, exponent, max_modulus)
     phi = unit_count(m)
-    units = [u for u in range(1, m) if u % p != 0]
-
-    elems: Set[Mat] = set()
-    gens: List[Mat] = []
-    expected: int
 
     if kind == "split_normalizer":
-        for a in units:
-            for d in units:
-                elems.add((a, 0, 0, d))
-                elems.add((0, a, d, 0))
         g = primitive_root(m)
         gens = [(g, 0, 0, 1), (1, 0, 0, g), (0, 1, 1, 0)]
         expected = 2 * phi * phi
     elif kind == "nonsplit_normalizer":
-        eps = smallest_nonresidue(p)
-        for a in range(m):
-            for b in range(m):
-                if a % p == 0 and b % p == 0:
-                    continue
-                elems.add((a, (b * eps) % m, b, a))
-                elems.add((a, (b * eps) % m, (-b) % m, (-a) % m))
-        gens = _nonsplit_generators(m, p, eps) + [(1, 0, 0, m - 1)]
+        gens = _nonsplit_generators(m, p, smallest_nonresidue(p)) + [(1, 0, 0, m - 1)]
         expected = 2 * p ** (2 * (exponent - 1)) * (p * p - 1)
     elif kind == "borel":
-        if phi * phi * m > max_order:
-            raise UnsupportedModulus(
-                f"borel mod {m} has {phi * phi * m} elements, above the cap {max_order}"
-            )
-        for a in units:
-            for d in units:
-                for b in range(m):
-                    elems.add((a, b, 0, d))
         g = primitive_root(m)
         gens = [(g, 0, 0, 1), (1, 0, 0, g), (1, 1, 0, 1)]
         expected = phi * phi * m
     else:  # full
-        expected = gl2_order(m)
-        if expected > max_order:
-            raise UnsupportedModulus(
-                f"GL2(Z/{m}) has {expected} elements, above the cap {max_order}"
-            )
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    for d in range(m):
-                        if (a * d - b * c) % p != 0:
-                            elems.add((a, b, c, d))
         g = primitive_root(m)
         gens = [(g, 0, 0, 1), (1, 1, 0, 1), (0, m - 1, 1, 0)]
+        expected = gl2_order(m)
 
-    if len(elems) != expected:
+    label = f"{_PRESET_SHORT[kind]}:{p}" + (f"^{exponent}" if exponent > 1 else "")
+    group = _subgroup(m, gens, label)
+    if group.order != expected:
         raise BoundViolated(
-            f"preset {kind} mod {m}: got {len(elems)} elements, expected {expected}"
+            f"preset {kind} mod {m}: its generators give {group.order} elements, "
+            f"expected {expected}"
         )
-    group = SubgroupG(
-        n=m,
-        generators=tuple(gens),
-        elements=frozenset(elems),
-        order=len(elems),
-        contains_minus_one=minus_identity_mat(m) in elems,
-        label=f"{_PRESET_SHORT[kind]}:{p}" + (f"^{exponent}" if exponent > 1 else ""),
-    )
     if not group.contains_minus_one:
         raise BoundViolated(f"preset {kind} mod {m} lost -1")
     return group

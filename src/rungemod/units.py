@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import CuspClass, CuspOrbit, Vec, galois_orbits, runge_condition
+from .cusps import CuspClass, CuspOrbit, galois_orbits, runge_condition
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -95,39 +95,40 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _trace_columns(G: SubgroupG, rep: Vec) -> Tuple[int, Tuple[Vec, ...]]:
-    # sigma*lift has first column sigma*rep, so the columns an order at this
-    # cusp sums over are the orbit G*rep, each |G|/|G*rep| times
-    n = G.n
-    cols = generated_orbit(rep, G.generator_mats(), lambda g, v: mat_vec(g, v, n))
-    if G.order % len(cols):
-        raise BoundViolated(f"orbit of size {len(cols)} does not divide |G| = {G.order}")
-    return G.order // len(cols), tuple(cols)
+def _trace_row(G: SubgroupG, c: CuspClass, columns: Tuple[TorsionIndex, ...]) -> Tuple[int, ...]:
+    """Orders at the cusp c of the trace products w_a, a in columns, from one orbit G*rep.
 
-
-def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
-    """Order at the cusp c of X_G of the trace product w_a over G.
-
-    An orbit-stabilizer sum: (width/n) * sum over sigma in G of
+    Each is an orbit-stabilizer sum: (width/n) * sum over sigma in G of
     12 n^2 ell(a*sigma*lift), where sigma*lift has first column sigma*rep,
     so the sum is |Stab(rep)| times a sum over the orbit G*rep.
     """
     n = G.n
-    if a.n != n or c.n != n:
-        raise ModulusMismatch(f"expected modulus {n}, got a mod {a.n}, cusp mod {c.n}")
     if not det_image(G).is_full:
         raise NotDefinedOverQ("trace orders need the determinant map onto (Z/n)*")
+    orbit = generated_orbit(c.rep, G.generator_mats(), lambda g, v: mat_vec(g, v, n))
+    mult, rem = divmod(G.order, len(orbit))
+    if rem:
+        raise BoundViolated(f"orbit of size {len(orbit)} does not divide |G| = {G.order}")
     table = _ell_table(n)
-    a1, a2 = a.a1, a.a2
-    mult, cols = _trace_columns(G, c.rep)
-    total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in cols)
-    frac = Fraction(c.width * total, n)
-    if frac.denominator != 1:
-        raise NotIntegral(f"width {c.width} times {total} is not divisible by {n}")
-    val = int(frac)
-    if abs(val) > G.order * n * n:
-        raise BoundViolated(f"|ord_w| = {abs(val)} exceeds |G| n^2 = {G.order * n * n}")
-    return val
+    row = []
+    for a in columns:
+        a1, a2 = a.a1, a.a2
+        total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in orbit)
+        val, rem = divmod(c.width * total, n)
+        if rem:
+            raise NotIntegral(f"width {c.width} times {total} is not divisible by {n}")
+        if abs(val) > G.order * n * n:
+            raise BoundViolated(f"|ord_w| = {abs(val)} exceeds |G| n^2 = {G.order * n * n}")
+        row.append(val)
+    return tuple(row)
+
+
+def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
+    """Order at the cusp c of X_G of the trace product w_a over G: a one-column row."""
+    n = G.n
+    if a.n != n or c.n != n:
+        raise ModulusMismatch(f"expected modulus {n}, got a mod {a.n}, cusp mod {c.n}")
+    return _trace_row(G, c, (a,))[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -162,14 +163,11 @@ def divisor_matrix(G: SubgroupG) -> DivisorMatrix:
     """Divisor matrix of the w_a, one row per Galois orbit of cusps."""
     orbits = galois_orbits(G)
     cols = _column_reps(G)
-    rows = []
-    for orbit in orbits:
-        rep = orbit.members[0]
-        rows.append(tuple(ord_w(G, a, rep) for a in cols))
+    rows = tuple(_trace_row(G, orbit.members[0], cols) for orbit in orbits)
     bound = G.order * G.n * G.n
     if any(abs(e) > bound for row in rows for e in row):
         raise BoundViolated(f"a divisor matrix entry exceeds |G| n^2 = {bound}")
-    return DivisorMatrix(G, orbits, cols, tuple(rows), bound)
+    return DivisorMatrix(G, orbits, cols, rows, bound)
 
 
 def weighted_column_sums(M: DivisorMatrix) -> Tuple[int, ...]:

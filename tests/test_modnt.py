@@ -1,8 +1,16 @@
-"""Group enumeration: closure, presets, determinant image."""
+"""Groups from generators: stabilizer-chain order and -1, presets, determinant image."""
 
+import os
 import random
+import subprocess
+import sys
+import time
+from math import gcd
 
 import pytest
+from group_oracle import closure, group_elements
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rungemod.modnt as modnt
 from rungemod.errors import (
@@ -27,8 +35,6 @@ from rungemod.modnt import (
 
 def brute_force_gl2(n):
     """Oracle: every invertible 2x2 matrix mod n, by direct filtering."""
-    from math import gcd
-
     out = set()
     for a in range(n):
         for b in range(n):
@@ -86,6 +92,38 @@ def test_full_preset_matches_brute_force_mod5():
     assert G.elements == frozenset(brute_force_gl2(5))
 
 
+def random_generator_set(seed):
+    """(n, generators): n in 2..30 and one to three random invertible matrices.
+
+    The entries run over -n..2n-1, so the input is usually not reduced.
+    """
+    rng = random.Random(seed)
+    n, k = rng.randint(2, 30), rng.randint(1, 3)
+    gens = []
+    while len(gens) < k:
+        m = tuple(rng.randrange(-n, 2 * n) for _ in range(4))
+        if gcd((m[0] * m[3] - m[1] * m[2]) % n, n) == 1:
+            gens.append(m)
+    return n, gens
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1).map(random_generator_set))
+@example((2, [(1, 1, 0, 1)]))
+@example((2, [(1, 1, 0, 1), (0, 1, 1, 0)]))
+@example((7, [(1, 0, 0, 1)]))
+@example((7, []))
+@example((12, [(13, -11, 24, 37), (-1, 0, 0, 1), (5, 0, 0, 1)]))
+@example((9, [(1, 1, 0, 1), (1, 0, 3, 1)]))
+def test_chain_matches_closure_oracle(case):
+    n, gens = case
+    G = generate_subgroup(n, gens)
+    elems = closure(n, tuple(map(tuple, gens)))
+    assert G.order == len(elems)
+    assert G.contains_minus_one == ((n - 1, 0, 0, n - 1) in elems)
+    assert G.elements == elems
+
+
 @pytest.mark.parametrize(
     "kind,p,n",
     [
@@ -98,15 +136,29 @@ def test_full_preset_matches_brute_force_mod5():
     ],
 )
 def test_preset_generators_generate_the_element_set(kind, p, n):
+    # the chain's elements are the closure of the generators, and each is a
+    # matrix of the kind; the closed-form count then makes them the whole kind
     G = preset_subgroup(kind, p, n)
-    regenerated = generate_subgroup(G.n, list(G.generators), max_modulus=G.n)
-    assert regenerated.elements == G.elements
+    m = G.n
+    eps = modnt.smallest_nonresidue(p)
+    described = {
+        "split_normalizer": lambda a, b, c, d: (b, c) == (0, 0) or (a, d) == (0, 0),
+        "nonsplit_normalizer": lambda a, b, c, d: (
+            (b, d) in ((c * eps % m, a), (-c * eps % m, -a % m))
+        ),
+        "borel": lambda a, b, c, d: c == 0,
+        "full": lambda a, b, c, d: True,
+    }[kind]
+    assert G.elements == group_elements(G)
+    assert all(described(*g) for g in G.elements)
+    assert len(G.elements) == G.order
 
 
 def test_closure_invariants_random_products():
     G = preset_subgroup("split_normalizer", 7)
     rng = random.Random(7)
     elems = sorted(G.elements)
+    assert len(elems) == G.order
     for _ in range(200):
         x = rng.choice(elems)
         y = rng.choice(elems)
@@ -145,11 +197,40 @@ def test_det_image_trivial_and_full():
 
 
 def test_preset_self_checks_raise_bound_violated(monkeypatch):
-    # a wrong phi makes the enumerated element count disagree with the closed
-    # form; the check raises, so it also holds under python -O
+    # a wrong phi makes the closed form disagree with the chain order
     monkeypatch.setattr(modnt, "unit_count", lambda n: n)
     with pytest.raises(BoundViolated):
         preset_subgroup("split_normalizer", 5)
+
+
+DROP_PRO_P_GENERATOR = """
+import rungemod.modnt as modnt
+from rungemod.errors import BoundViolated
+
+full = modnt._nonsplit_generators
+modnt._nonsplit_generators = lambda m, p, eps: [
+    g for g in full(m, p, eps) if g != (1 + p, 0, 0, 1 + p)
+]
+try:
+    modnt.preset_subgroup("nonsplit_normalizer", 3, 2)
+except BoundViolated as exc:
+    print("refused:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_preset_refuses_generators_short_of_the_closed_form(flags):
+    # without the pro-p generator 1 + p the nonsplit:3^2 generators span a
+    # subgroup of order 48; the check raises, so it holds under python -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", DROP_PRO_P_GENERATOR],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "refused: preset nonsplit_normalizer mod 9" in proc.stdout
+    assert "expected 144" in proc.stdout
 
 
 def test_kernel_level_group():
@@ -179,9 +260,34 @@ def test_unsupported_modulus():
     with pytest.raises(UnsupportedModulus):
         preset_subgroup("split_normalizer", 3, 7)  # 3^7 over the cap
     with pytest.raises(UnsupportedModulus):
-        preset_subgroup("full", 7, 3)  # |GL2(Z/343)| over the element cap
-    with pytest.raises(UnsupportedModulus):
         generate_subgroup(103, [(1, 0, 0, 1)])
+    # GL2(Z/343) has about 1.2e10 elements; no element set is built, so it builds
+    assert preset_subgroup("full", 7, 3).order == gl2_order(343)
+
+
+GL2_MOD_101 = """N=101
+2 0 0 1
+1 1 0 1
+0 100 1 0
+"""
+
+
+@pytest.mark.parametrize(
+    "build,order",
+    [
+        (lambda: parse_group_text(GL2_MOD_101), gl2_order(101)),
+        (lambda: parse_preset("full:67"), gl2_order(67)),
+        (lambda: parse_preset("borel:7^3"), 294 * 294 * 343),
+    ],
+    ids=["text:gl2:101", "full:67", "borel:7^3"],
+)
+def test_large_groups_build_from_generators(build, order):
+    # once refused by the element cap, or built only after tens of seconds
+    # and gigabytes of element set
+    start = time.perf_counter()
+    G = build()
+    assert time.perf_counter() - start < 2.0
+    assert G.order == order and G.contains_minus_one
 
 
 def test_parse_preset_shorthand():

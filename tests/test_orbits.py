@@ -1,17 +1,18 @@
 """Generator-orbit computations against element-enumeration oracles.
 
 The library finds the determinant image, the cusps with their widths and
-Galois orbits, the trace columns behind ord_w and the column classes of
-the divisor matrix by breadth-first orbits over the generators.  The
-oracles here sweep the whole element set instead, and closed forms for
-the split-Cartan normalizers and Borel groups check the cusp counts.
+Galois orbits, the rows of the divisor matrix and its column classes by
+breadth-first orbits over the generators.  The oracles here sweep the
+whole element set instead, built by the test-side closure in
+group_oracle.py, and closed forms for the split-Cartan normalizers and
+Borel groups check the cusp counts.
 """
 
 import random
-from collections import Counter
 from math import gcd
 
 import pytest
+from group_oracle import group_elements
 
 from rungemod.cusps import (
     canonical_class,
@@ -36,7 +37,7 @@ from rungemod.modnt import (
     sl2_order,
     unit_count,
 )
-from rungemod.units import TorsionIndex, _column_reps, _trace_columns
+from rungemod.units import TorsionIndex, _column_reps, divisor_matrix, ord_w
 
 
 def conjugated_borel_text(p, seed):
@@ -76,12 +77,20 @@ CUSP_GROUPS = dict(
 
 
 def oracle_det_image(G):
-    return frozenset(mat_det(m, G.n) for m in G.elements)
+    return frozenset(mat_det(m, G.n) for m in group_elements(G))
 
 
-def oracle_trace_columns(G, rep):
-    """First columns of sigma*lift over every sigma in G, with multiplicity."""
-    return Counter(mat_vec(m, rep, G.n) for m in G.elements)
+def oracle_ord_w(G, a, c):
+    """(width/n) * sum over every sigma in G of 12 n^2 ell(a*sigma*lift)."""
+    n = G.n
+    total = 0
+    for m in group_elements(G):
+        u, w = mat_vec(m, c.rep, n)  # first column of sigma*lift
+        x = (a.a1 * u + a.a2 * w) % n
+        total += 6 * x * x - 6 * n * x + n * n
+    val, rem = divmod(c.width * total, n)
+    assert rem == 0
+    return val
 
 
 def oracle_column_reps(G):
@@ -94,7 +103,7 @@ def oracle_column_reps(G):
             if (a1, a2) == (0, 0) or (a1, a2) in seen:
                 continue
             cls = set()
-            for sa, sb, sc, sd in G.elements:
+            for sa, sb, sc, sd in group_elements(G):
                 u, w = (a1 * sa + a2 * sc) % n, (a1 * sb + a2 * sd) % n
                 cls |= {(u, w), ((-u) % n, (-w) % n)}
             seen |= cls
@@ -105,7 +114,7 @@ def oracle_column_reps(G):
 def oracle_plusminus_sl2(G):
     """Element set of <G, -1> meet SL2."""
     n = G.n
-    part = {m for m in G.elements if mat_det(m, n) == 1}
+    part = {m for m in group_elements(G) if mat_det(m, n) == 1}
     return frozenset(part | {mat_mul(minus_identity_mat(n), m, n) for m in part})
 
 
@@ -141,7 +150,9 @@ def oracle_cusps(G):
     placed = set()
     for i, (rep, _, _) in enumerate(cusps):
         if i not in placed:
-            orbit = sorted({member_of[canonical_class(mat_vec(g, rep, n), n)] for g in G.elements})
+            orbit = sorted(
+                {member_of[canonical_class(mat_vec(g, rep, n), n)] for g in group_elements(G)}
+            )
             placed.update(orbit)
             orbits.append(orbit)
     return cusps, member_of, orbits, sl2_order(n) // len(pm)
@@ -213,12 +224,19 @@ def test_det_image_matches_element_sweep(name):
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_trace_columns_match_element_sweep(name):
+    # every entry of the divisor matrix: the trace order of each column class
     G = GROUPS[name]()
-    for c in enumerate_cusps(G):
-        mult, cols = _trace_columns(G, c.rep)
-        assert len(set(cols)) == len(cols)
-        assert mult * len(cols) == G.order
-        assert Counter({v: mult for v in cols}) == oracle_trace_columns(G, c.rep)
+    if not det_image(G).is_full:
+        with pytest.raises(NotDefinedOverQ):
+            divisor_matrix(G)
+        return
+    M = divisor_matrix(G)
+    for orbit, row in zip(M.orbits, M.entries):
+        c = orbit.members[0]
+        assert list(row) == [oracle_ord_w(G, a, c) for a in M.columns]
+        # ord_w is the one-column case, at every member of the orbit
+        for member in orbit.members:
+            assert [ord_w(G, a, member) for a in M.columns[:3]] == list(row[:3])
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
