@@ -3,6 +3,7 @@
 Usage:
     python3 scripts/cusp_census.py --kind split --max-p 101
     python3 scripts/cusp_census.py --kind borel --max-p 31 --check
+    python3 scripts/cusp_census.py --kind nonsplit --max-p 97 --check
 
 --check compares each row and the group order with the closed forms at
 prime level p, prints every row that disagrees and exits 1 if any does.
@@ -42,6 +43,8 @@ def expected(kind: str, p: int) -> Tuple[int, int, int, List[int]]:
         return 2 * (p - 1) ** 2, (p + 1) // 2, p * (p + 1) // 2, sorted([1, (p - 1) // 2])
     if kind == "borel":
         return p * (p - 1) ** 2, 2, p + 1, [1, 1]
+    if kind == "nonsplit":
+        return 2 * (p * p - 1), (p - 1) // 2, p * (p - 1) // 2, [(p - 1) // 2]
     return (p * p - 1) * (p * p - p), 1, 1, [1]
 
 
@@ -66,7 +69,7 @@ def census(kind: str, max_p: int) -> List[CensusRow]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--kind", default="split", choices=["split", "borel", "full"])
+    ap.add_argument("--kind", default="split", choices=["split", "nonsplit", "borel", "full"])
     ap.add_argument("--max-p", type=int, default=101)
     ap.add_argument(
         "--check",

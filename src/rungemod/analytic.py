@@ -236,9 +236,6 @@ class ErrorBall:
     def _z(self) -> Tuple[MpfT, MpfT]:
         return (self.re, self.im)
 
-    def abs_upper(self) -> MpfT:
-        return _r_add(_r_add(mpf_abs(self.re), mpf_abs(self.im)), self.rad)
-
     def add(self, o: "ErrorBall") -> "ErrorBall":
         p = self.prec
         re, im = mpc_add(self._z(), o._z(), p, "n")
@@ -389,9 +386,6 @@ class UpperHalfPoint:
     @classmethod
     def from_complex(cls, z: complex) -> "UpperHalfPoint":
         return cls(Fraction(z.real), Fraction(z.imag))
-
-    def tau_ball(self, prec: int) -> ErrorBall:
-        return ErrorBall.from_fractions(self.re, self.im, prec)
 
     def q_ball(self, prec: int) -> ErrorBall:
         return _exp_2pii(self.re, self.im, prec)

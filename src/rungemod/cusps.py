@@ -5,7 +5,8 @@ mod N, taken modulo sign; the orbit of the same classes under <G, -1> is
 the Galois orbit over Q (valid when det G is all of (Z/N)^*).  Both come
 from one breadth-first pass over the classes under the generators of G,
 which records the det of the generator word reaching each class; widths
-and the index in SL2 follow by counting, so no element set is read.
+and the index in SL2 follow by counting, so no element set is read.  The
+divisor-matrix rows sum over the class list the pass keeps for each orbit.
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ class PlaceConstants:
 
 
 @functools.lru_cache(maxsize=128)
-def _cusp_data(
-    G: SubgroupG,
-) -> Tuple[Tuple[CuspClass, ...], Dict[Vec, CuspClass], Tuple[CuspOrbit, ...]]:
-    """All cusps, the map (vector class) -> cusp, and the <G, -1>-orbits of cusps.
+def _cusp_data(G: SubgroupG) -> Tuple[
+    Tuple[CuspClass, ...], Dict[Vec, CuspClass], Tuple[CuspOrbit, ...], Dict[CuspClass, List[Vec]]
+]:
+    """All cusps, the map class -> cusp, the <G, -1>-orbits of cusps, the map cusp -> classes.
 
     One breadth-first pass per orbit of <G, -1> on the vector classes, from
     the first class of the orbit in the order (1, 0), then the sorted
@@ -132,7 +133,7 @@ def _cusp_data(
     iff their t-values lie in one coset of S.  A cusp c whose classes hold
     |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c| matrices of SL2
     taking e1 into V_c are Gamma*lift*U, and Gamma meets lift*U*lift^-1 in
-    N/width elements.
+    N/width elements.  Each cusp maps to its orbit's visited list, uncopied.
     """
     n = G.n
     one = (1 % n, 0)
@@ -146,6 +147,7 @@ def _cusp_data(
 
     member_of: Dict[Vec, CuspClass] = {}
     orbits: List[CuspOrbit] = []
+    classes_of: Dict[CuspClass, List[Vec]] = {}
 
     for seed in [one] + primitive_classes(n):
         if seed in member_of:
@@ -195,6 +197,7 @@ def _cusp_data(
             members.append(CuspClass(n=n, rep=rep, width=width, lift=sl2_lift(rep, n)))
         for w in visited:
             member_of[w] = members[coset_of[t[w]]]
+        classes_of.update((c, visited) for c in members)
         members.sort(key=seed_order)
         orbits.append(CuspOrbit(members=tuple(members)))
 
@@ -202,7 +205,7 @@ def _cusp_data(
     cusps = sorted((c for o in orbits for c in o.members), key=seed_order)
     if sum(c.width for c in cusps) != index:
         raise BoundViolated(f"cusp widths of {G.label} do not sum to its index {index}")
-    return tuple(cusps), member_of, tuple(orbits)
+    return tuple(cusps), member_of, tuple(orbits), classes_of
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
@@ -212,11 +215,16 @@ def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
 
 def cusp_containing(G: SubgroupG, v: Vec) -> CuspClass:
     """The cusp whose vector classes include v."""
-    _, member_of, _ = _cusp_data(G)
+    member_of = _cusp_data(G)[1]
     key = canonical_class(v, G.n)
     if key not in member_of:
         raise ValueError(f"vector {v} is not primitive mod {G.n}")
     return member_of[key]
+
+
+def orbit_classes(G: SubgroupG, c: CuspClass) -> List[Vec]:
+    """The vector classes of the <G, -1>-orbit of c.rep, as the cusp pass found them."""
+    return _cusp_data(G)[3][cusp_containing(G, c.rep)]
 
 
 def cusp_width(G: SubgroupG, c: CuspClass) -> int:
@@ -239,7 +247,7 @@ def galois_orbits(G: SubgroupG) -> List[CuspOrbit]:
         raise NotDefinedOverQ(
             f"det image of {G.label} is a proper subgroup of (Z/{G.n})^*"
         )
-    cusps, _, orbits = _cusp_data(G)
+    cusps, _, orbits, _ = _cusp_data(G)
     if sum(o.degree for o in orbits) != len(cusps):
         raise BoundViolated(f"Galois orbits of {G.label} do not partition its {len(cusps)} cusps")
     return list(orbits)

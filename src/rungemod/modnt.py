@@ -255,21 +255,15 @@ def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
     return SubgroupG(n, tuple(gens), len(transversal) * len(stab), contains_minus_one, label)
 
 
-def generate_subgroup(
-    n: int,
-    gens: Sequence[Sequence[int]],
-    *,
-    max_modulus: int = MAX_USER_MODULUS,
-    label: str = "custom",
-) -> SubgroupG:
-    """The subgroup of GL2(Z/n) generated by `gens`, each reduced mod n."""
-    if n < 2 or n > max_modulus:
-        raise UnsupportedModulus(f"modulus {n} outside supported range 2..{max_modulus}")
+def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:
+    """The subgroup of GL2(Z/n) generated by `gens`, each reduced mod n, labelled "custom"."""
+    if n < 2 or n > MAX_USER_MODULUS:
+        raise UnsupportedModulus(f"modulus {n} outside supported range 2..{MAX_USER_MODULUS}")
     gen_mats = [mat_reduce(g, n) for g in gens]
     for g in gen_mats:
         if egcd(mat_det(g, n), n)[0] != 1:
             raise NonInvertibleGenerator(f"generator {g} has det {mat_det(g, n)} mod {n}")
-    return _subgroup(n, gen_mats, label)
+    return _subgroup(n, gen_mats, "custom")
 
 
 def kernel_level_group(n: int) -> SubgroupG:
@@ -314,7 +308,7 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no non-residue mod {p}")
 
 
-def _check_preset_modulus(p: int, exponent: int, max_modulus: int) -> int:
+def _check_preset_modulus(p: int, exponent: int) -> int:
     if p < 3 or p % 2 == 0:
         raise UnsupportedModulus(f"preset base must be an odd prime, got {p}")
     for q, _ in _factorize(p).items():
@@ -323,18 +317,12 @@ def _check_preset_modulus(p: int, exponent: int, max_modulus: int) -> int:
     if exponent < 1:
         raise UnsupportedModulus(f"preset exponent must be >= 1, got {exponent}")
     m = p ** exponent
-    if m > max_modulus:
-        raise UnsupportedModulus(f"preset modulus {m} exceeds cap {max_modulus}")
+    if m > MAX_PRESET_MODULUS:
+        raise UnsupportedModulus(f"preset modulus {m} exceeds cap {MAX_PRESET_MODULUS}")
     return m
 
 
-def preset_subgroup(
-    kind: str,
-    p: int,
-    exponent: int = 1,
-    *,
-    max_modulus: int = MAX_PRESET_MODULUS,
-) -> SubgroupG:
+def preset_subgroup(kind: str, p: int, exponent: int = 1) -> SubgroupG:
     """Construct one of the named subgroups mod p^exponent from its generators.
 
     split_normalizer: diagonal plus antidiagonal invertible matrices.
@@ -347,7 +335,7 @@ def preset_subgroup(
     """
     if kind not in PRESET_KINDS:
         raise ValueError(f"unknown preset kind {kind!r}; choose from {PRESET_KINDS}")
-    m = _check_preset_modulus(p, exponent, max_modulus)
+    m = _check_preset_modulus(p, exponent)
     phi = unit_count(m)
 
     if kind == "split_normalizer":
@@ -382,31 +370,31 @@ def _nonsplit_generators(m: int, p: int, eps: int) -> List[Mat]:
     """Generators of the nonsplit torus mod m = p^k.
 
     A Teichmueller-type element of maximal prime-to-p order plus, for k > 1,
-    the two standard pro-p generators 1+p and 1+p*sqrt(eps).
+    the two standard pro-p generators 1+p and 1+p*sqrt(eps).  Reduction mod
+    p has a p-group kernel, so the prime-to-p order of a unit mod m is its
+    order mod p.  So the search takes the first candidate of order p^2 - 1
+    mod p, tested by fast powering against the primes q | p^2 - 1.
     """
     target = p * p - 1
+    cofactors = [target // q for q in _factorize(target)]
 
-    def mat_of(a: int, b: int) -> Mat:
-        return (a % m, (b * eps) % m, b % m, a % m)
-
-    def order_of(mat: Mat) -> int:
-        k = 1
-        cur = mat
-        ident = identity_mat()
-        while cur != ident:
-            cur = mat_mul(cur, mat, m)
-            k += 1
-            if k > m * m:
-                raise BoundViolated("runaway order computation")
-        return k
+    def mat_pow(x: Mat, e: int) -> Mat:
+        out = identity_mat()
+        while e:
+            if e & 1:
+                out = mat_mul(out, x, p)
+            x = mat_mul(x, x, p)
+            e >>= 1
+        return out
 
     gen: Optional[Mat] = None
     for a in range(p):
         for b in range(1, p):
-            cand = mat_of(a, b)
+            cand = (a % m, (b * eps) % m, b % m, a % m)
             if mat_det(cand, m) % p == 0:
                 continue
-            if order_of(cand) % target == 0:
+            # mat_mul reduces mod p, so the powers are taken mod p
+            if all(mat_pow(cand, e) != identity_mat() for e in cofactors):
                 gen = cand
                 break
         if gen is not None:
@@ -442,7 +430,7 @@ def det_image(G: SubgroupG) -> DetImage:
     return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
 
 
-def parse_preset(token: str, **kwargs) -> SubgroupG:
+def parse_preset(token: str) -> SubgroupG:
     """Parse `split:5`, `nonsplit:7`, `borel:3^2`, `full:5` shorthand."""
     if ":" not in token:
         raise ValueError(f"preset shorthand must look like kind:p or kind:p^n, got {token!r}")
@@ -457,10 +445,10 @@ def parse_preset(token: str, **kwargs) -> SubgroupG:
         p, exponent = int(p_str), int(n_str)
     except ValueError as exc:
         raise ValueError(f"bad preset modulus in {token!r}") from exc
-    return preset_subgroup(_PRESET_LONG[short], p, exponent, **kwargs)
+    return preset_subgroup(_PRESET_LONG[short], p, exponent)
 
 
-def parse_group_text(text: str, **kwargs) -> SubgroupG:
+def parse_group_text(text: str) -> SubgroupG:
     """Parse the group-definition text format.
 
     First line `N=<modulus>`, then one generator per line as four
@@ -484,4 +472,4 @@ def parse_group_text(text: str, **kwargs) -> SubgroupG:
             raise ValueError(f"generator line must have 4 integers, got {ln!r}")
         a, b, c, d = (int(x) for x in parts)
         gens.append((a, b, c, d))
-    return generate_subgroup(n, gens, **kwargs)
+    return generate_subgroup(n, gens)

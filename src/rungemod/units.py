@@ -2,7 +2,9 @@
 
 Everything here is exact integer or rational arithmetic.  The basic datum
 is ell(a) = B2({a1})/2; all cusp orders are integer combinations of the
-scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.
+scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.  A row of the divisor
+matrix sums these over the vector classes of one cusp orbit, as the cusp
+pass in `cusps` found them; nothing here walks a cusp orbit again.
 """
 
 import functools
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import CuspClass, CuspOrbit, galois_orbits, runge_condition
+from .cusps import CuspClass, CuspOrbit, galois_orbits, orbit_classes, runge_condition
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -22,7 +24,7 @@ from .errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_vec, minus_identity_mat, vec_mat
+from .modnt import Mat, SubgroupG, det_image, generated_orbit, minus_identity_mat, vec_mat
 
 
 @dataclass(frozen=True)
@@ -96,24 +98,27 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _trace_row(G: SubgroupG, c: CuspClass, columns: Tuple[TorsionIndex, ...]) -> Tuple[int, ...]:
-    """Orders at the cusp c of the trace products w_a, a in columns, from one orbit G*rep.
+    """Orders at the cusp c of the trace products w_a, a in columns, over c's orbit classes.
 
-    Each is an orbit-stabilizer sum: (width/n) * sum over sigma in G of
-    12 n^2 ell(a*sigma*lift), where sigma*lift has first column sigma*rep,
-    so the sum is |Stab(rep)| times a sum over the orbit G*rep.
+    Each is (width/n) * sum over sigma in G of 12 n^2 ell(a*sigma*lift);
+    sigma*lift has first column sigma*rep, so this is |Stab(rep)| times a
+    sum over G*rep, whose +/- classes the cusp pass found.  The table is
+    even, so both vectors of a class give one term; and as -1 commutes
+    with G, G*rep meets every class in the same number (1 or 2) of
+    vectors.  So the sum over G is |G|/|classes| times that over classes.
     """
     n = G.n
     if not det_image(G).is_full:
         raise NotDefinedOverQ("trace orders need the determinant map onto (Z/n)*")
-    orbit = generated_orbit(c.rep, G.generator_mats(), lambda g, v: mat_vec(g, v, n))
-    mult, rem = divmod(G.order, len(orbit))
+    classes = orbit_classes(G, c)
+    mult, rem = divmod(G.order, len(classes))
     if rem:
-        raise BoundViolated(f"orbit of size {len(orbit)} does not divide |G| = {G.order}")
+        raise BoundViolated(f"{len(classes)} classes in an orbit do not divide |G| = {G.order}")
     table = _ell_table(n)
     row = []
     for a in columns:
         a1, a2 = a.a1, a.a2
-        total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in orbit)
+        total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in classes)
         val, rem = divmod(c.width * total, n)
         if rem:
             raise NotIntegral(f"width {c.width} times {total} is not divisible by {n}")

@@ -41,9 +41,11 @@ def test_split_5_cusp_count_and_structure():
 def test_overlapping_galois_orbits_are_caught(monkeypatch):
     # every orbit also claims cusp 0, so the degrees overcount the cusps
     G = preset_subgroup("split_normalizer", 5)
-    cusps, member_of, orbits = cusps_mod._cusp_data(G)
+    cusps, member_of, orbits, classes_of = cusps_mod._cusp_data(G)
     overlapping = tuple(CuspOrbit(members=(cusps[0],) + o.members) for o in orbits)
-    monkeypatch.setattr(cusps_mod, "_cusp_data", lambda G: (cusps, member_of, overlapping))
+    monkeypatch.setattr(
+        cusps_mod, "_cusp_data", lambda G: (cusps, member_of, overlapping, classes_of)
+    )
     with pytest.raises(BoundViolated):
         galois_orbits(G)
 

@@ -325,6 +325,31 @@ def test_primitive_root_small_cases():
     assert all(pow(g, phi // q, 27) != 1 for q in (2, 3))
 
 
+def oracle_torus_generator(m, p, eps):
+    """First a + b*sqrt(eps) (a in [0, p), b in [1, p)) whose order mod m is divisible
+    by p^2 - 1, found by multiplying out its powers one product at a time."""
+    for a in range(p):
+        for b in range(1, p):
+            if (a * a - eps * b * b) % p == 0:
+                continue
+            cand = (a % m, b * eps % m, b % m, a % m)
+            k, cur = 1, cand
+            while cur != (1, 0, 0, 1):
+                cur = mat_mul(cur, cand, m)
+                k += 1
+            if k % (p * p - 1) == 0:
+                return cand
+
+
+def test_torus_generator_matches_power_loop():
+    # every nonsplit preset modulus p^k <= 343
+    primes = [p for p in range(3, 344, 2) if all(p % d for d in range(3, int(p ** 0.5) + 1, 2))]
+    for p in primes:
+        eps = modnt.smallest_nonresidue(p)
+        for m in (p ** k for k in range(1, 6) if p ** k <= modnt.MAX_PRESET_MODULUS):
+            assert modnt._nonsplit_generators(m, p, eps)[0] == oracle_torus_generator(m, p, eps)
+
+
 def test_gl2_order_composite():
     # multiplicative over prime powers: check N=6 against brute force
     assert gl2_order(6) == len(brute_force_gl2(6))

@@ -46,6 +46,10 @@ def test_cusp_census_split_check():
     check_census("split")
 
 
+def test_cusp_census_nonsplit_check():
+    check_census("nonsplit")
+
+
 def test_cusp_census_borel_check():
     check_census("borel")
 
