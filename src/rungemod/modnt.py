@@ -1,12 +1,12 @@
 """Exact 2x2 matrix arithmetic over Z/N and subgroups of GL2(Z/N) given by generators.
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
-A subgroup is described by its generators alone: |G| and whether -1 lies
-in G come from a two-point stabilizer chain with base (e1, e2), found
-breadth-first over the orbit G*e1, and the determinant image, the cusps and
-the orbits that downstream sums over G reduce to are orbits under the
-generators, exact by orbit-stabilizer.  No element set is stored; moduli
-are capped.
+A subgroup is described by its generators alone: |G| and whether -1 and
+every scalar lie in G come from a two-point stabilizer chain with base
+(e1, e2), found breadth-first over the orbit G*e1, and the determinant
+image, the cusps and the orbits that downstream sums over G reduce to are
+orbits under the generators, exact by orbit-stabilizer.  No element set is
+stored; moduli are capped.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ def egcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def inv_mod(a: int, n: int) -> int:
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {n}")
-    return x % n
-
-
 def mat_reduce(m: Sequence[int], n: int) -> Mat:
     a, b, c, d = m
     return (a % n, b % n, c % n, d % n)
@@ -63,21 +56,6 @@ def mat_mul(x: Mat, y: Mat, n: int) -> Mat:
 
 def mat_det(m: Mat, n: int) -> int:
     return (m[0] * m[3] - m[1] * m[2]) % n
-
-
-def mat_inv(m: Mat, n: int) -> Mat:
-    di = inv_mod(mat_det(m, n), n)
-    return ((m[3] * di) % n, (-m[1] * di) % n, (-m[2] * di) % n, (m[0] * di) % n)
-
-
-def mat_vec(m: Mat, v: Tuple[int, int], n: int) -> Tuple[int, int]:
-    """Column vector v -> m*v."""
-    return ((m[0] * v[0] + m[1] * v[1]) % n, (m[2] * v[0] + m[3] * v[1]) % n)
-
-
-def vec_mat(v: Tuple[int, int], m: Mat, n: int) -> Tuple[int, int]:
-    """Row vector v -> v*m."""
-    return ((v[0] * m[0] + v[1] * m[2]) % n, (v[0] * m[1] + v[1] * m[3]) % n)
 
 
 T = TypeVar("T")
@@ -114,16 +92,17 @@ class SubgroupG:
     """A subgroup of GL2(Z/N), described by its generators.
 
     Invariant: `generators` (reduced 4-tuples) generate a group of `order`
-    elements, which contains -1 iff `contains_minus_one`; both facts come
-    from the stabilizer chain when the group is built.  The generators
-    drive the determinant image and every orbit search (cusps, Galois
-    orbits, trace rows, column classes).
+    elements, which contains -1 iff `contains_minus_one` and every scalar
+    iff `contains_scalars`; the three facts come from the stabilizer chain
+    when the group is built.  The generators drive the determinant image
+    and every orbit search (cusps, Galois orbits, trace rows, columns).
     """
 
     n: int
     generators: Tuple[Mat, ...]
     order: int
     contains_minus_one: bool
+    contains_scalars: bool
     label: str = "custom"
 
     def generator_mats(self) -> Tuple[Mat, ...]:
@@ -246,13 +225,17 @@ def _stabilizer_chain(
 
 
 def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
-    """SubgroupG for reduced invertible generators, its order and -1 from the chain."""
+    """SubgroupG for reduced invertible generators, its order and scalars from the chain."""
     transversal, stab = _stabilizer_chain(n, gens)
-    # sift -1: it takes e1 to z = -e1, and u_z^-1 * (-1) must lie in
-    # Stab(e1); its second column adj(u_z) * (-e2) / det u_z is (y0, 1) / det u_z
-    minus = transversal.get(((-1) % n, 0))
-    contains_minus_one = minus is not None and (minus[0] * minus[2] % n, minus[2]) in stab
-    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), contains_minus_one, label)
+
+    def has_scalar(s: int) -> bool:
+        # sift s*1: it takes e1 to z = s*e1, and u_z^-1 * s*1 must lie in Stab(e1);
+        # its second column adj(u_z) * s*e2 / det u_z is (-s*y0, s^2) / det u_z
+        u = transversal.get((s % n, 0))
+        return u is not None and (-s * u[0] * u[2] % n, s * s * u[2] % n) in stab
+
+    scalars = all(has_scalar(s) for s in range(1, n) if egcd(s, n)[0] == 1)
+    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), has_scalar(-1), scalars, label)
 
 
 def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:

@@ -4,7 +4,9 @@ Everything here is exact integer or rational arithmetic.  The basic datum
 is ell(a) = B2({a1})/2; all cusp orders are integer combinations of the
 scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.  A row of the divisor
 matrix sums these over the vector classes of one cusp orbit, as the cusp
-pass in `cusps` found them; nothing here walks a cusp orbit again.
+pass in `cusps` found them; nothing here walks a cusp orbit again, and
+the column classes come from those orbits too, with one small pass per
+content level (see `_column_reps`).
 """
 
 import functools
@@ -12,9 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .cusps import CuspClass, CuspOrbit, galois_orbits, orbit_classes, runge_condition
+from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, canonical_class, galois_orbits,
+                    orbit_classes, primitive_classes, runge_condition)
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -24,7 +27,7 @@ from .errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from .modnt import Mat, SubgroupG, det_image, generated_orbit, minus_identity_mat, vec_mat
+from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det
 
 
 @dataclass(frozen=True)
@@ -136,21 +139,45 @@ def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
     return _trace_row(G, c, (a,))[0]
 
 
+def _least_row(classes: Iterable[Vec], m: int) -> Vec:
+    # the class of a column b = +/-(x, y) holds the rows a = +/-(-y, x), as b = J*a^T
+    return min(min((-y % m, x), (y, -x % m)) for x, y in classes)
+
+
+def _level_reps(m: int, gens: Sequence[Mat]) -> List[Vec]:
+    """Least row of each orbit of the +/- classes of primitive columns mod m under gens."""
+    seen: Set[Vec] = set()
+    reps = []
+    for seed in primitive_classes(m):
+        if seed not in seen:
+            orbit = generated_orbit(seed, gens, lambda g, v: canonical_class(
+                (g[0] * v[0] + g[1] * v[1], g[2] * v[0] + g[3] * v[1]), m))
+            seen.update(orbit)
+            reps.append(_least_row(orbit, m))
+    return reps
+
+
 @functools.lru_cache(maxsize=64)
 def _column_reps(G: SubgroupG) -> Tuple[TorsionIndex, ...]:
-    """Lex-least representatives of nonzero row vectors modulo a -> ±(a*sigma)."""
+    """Lex-least representatives of nonzero row vectors modulo a -> +/-(a*sigma), sorted.
+
+    With J = (0 1; -1 0) and b = J*a^T, J*(a*sigma)^T = det(sigma) sigma^-1 b, so
+    the row classes are the +/- column classes under G' = <det(g)^-1 g>, as
+    g -> det(g)^-1 g is a homomorphism.  Rows of content d = gcd(a1, a2, N) are
+    d times the primitive rows mod N/d: one class-orbit pass under G' mod N/d
+    each.  If G holds every scalar, G' lies in G and, the map being injective,
+    is G: the content-1 classes are then the cusp pass's <G, -1>-orbits.
+    """
     n = G.n
-    gens = G.generator_mats() + (minus_identity_mat(n),)
-    seen = set()
-    reps: List[TorsionIndex] = []
-    for a1 in range(n):
-        for a2 in range(n):
-            if (a1 == 0 and a2 == 0) or (a1, a2) in seen:
-                continue
-            # every smaller vector is already seen, so (a1, a2) is lex-least
-            seen.update(generated_orbit((a1, a2), gens, lambda g, v: vec_mat(v, g, n)))
-            reps.append(TorsionIndex(n, a1, a2))
-    return tuple(reps)
+    gens = [tuple(pow(mat_det(g, n), -1, n) * x % n for x in g) for g in G.generator_mats()]
+    if G.contains_scalars:
+        _, _, orbits, classes_of = _cusp_data(G)
+        reps = [_least_row(classes_of[o.members[0]], n) for o in orbits]
+    else:
+        reps = _level_reps(n, gens)
+    for d in [d for d in range(2, n) if n % d == 0]:
+        reps += [(d * x, d * y) for x, y in _level_reps(n // d, gens)]
+    return tuple(TorsionIndex(n, x, y) for x, y in sorted(reps))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from rungemod.bounds import (
 )
 from rungemod.analytic import run_all_sweeps
 from rungemod.cusps import enumerate_cusps, galois_orbits
-from rungemod.modnt import kernel_level_group, parse_preset
+from rungemod.modnt import kernel_level_group, parse_group_text, parse_preset
 from rungemod.units import (
     TorsionIndex,
     divisor_matrix,
@@ -112,8 +112,10 @@ def test_divisor_rank_is_orbit_count_minus_one():
     start = time.monotonic()
     cases = [("split:%d" % p) for p in (3, 5, 7, 11)]
     cases += ["borel:5", "borel:7", "full:5"]
+    # prime powers take columns of content > 1; Gamma1(7) holds no scalar but 1
+    cases += ["split:3^3", "split:7^2", "borel:3^3", "nonsplit:5^2", "N=7\n1 1 0 1\n1 0 0 3\n"]
     for token in cases:
-        G = parse_preset(token)
+        G = parse_group_text(token) if token.startswith("N=") else parse_preset(token)
         M = divisor_matrix(G)
         want = len(galois_orbits(G)) - 1
         assert divisor_rank(M) == want

@@ -8,7 +8,7 @@ import time
 from math import gcd
 
 import pytest
-from group_oracle import closure, group_elements
+from group_oracle import closure, group_elements, mat_inv, random_generator_set
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from rungemod.modnt import (
     generate_subgroup,
     gl2_order,
     kernel_level_group,
-    mat_inv,
     mat_mul,
     parse_group_text,
     parse_preset,
@@ -92,21 +91,6 @@ def test_full_preset_matches_brute_force_mod5():
     assert G.elements == frozenset(brute_force_gl2(5))
 
 
-def random_generator_set(seed):
-    """(n, generators): n in 2..30 and one to three random invertible matrices.
-
-    The entries run over -n..2n-1, so the input is usually not reduced.
-    """
-    rng = random.Random(seed)
-    n, k = rng.randint(2, 30), rng.randint(1, 3)
-    gens = []
-    while len(gens) < k:
-        m = tuple(rng.randrange(-n, 2 * n) for _ in range(4))
-        if gcd((m[0] * m[3] - m[1] * m[2]) % n, n) == 1:
-            gens.append(m)
-    return n, gens
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1).map(random_generator_set))
 @example((2, [(1, 1, 0, 1)]))
@@ -115,12 +99,17 @@ def random_generator_set(seed):
 @example((7, []))
 @example((12, [(13, -11, 24, 37), (-1, 0, 0, 1), (5, 0, 0, 1)]))
 @example((9, [(1, 1, 0, 1), (1, 0, 3, 1)]))
+# (Z/12)* is not cyclic: every scalar, then only the scalars 1 and -1
+@example((12, [(5, 0, 0, 5), (7, 0, 0, 7), (1, 0, 1, 1)]))
+@example((12, [(11, 0, 0, 11), (1, 0, 1, 1)]))
 def test_chain_matches_closure_oracle(case):
     n, gens = case
     G = generate_subgroup(n, gens)
     elems = closure(n, tuple(map(tuple, gens)))
     assert G.order == len(elems)
     assert G.contains_minus_one == ((n - 1, 0, 0, n - 1) in elems)
+    units = [s for s in range(1, n) if gcd(s, n) == 1]
+    assert G.contains_scalars == all((s, 0, 0, s) in elems for s in units)
     assert G.elements == elems
 
 

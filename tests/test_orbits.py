@@ -4,15 +4,18 @@ The library finds the determinant image, the cusps with their widths and
 Galois orbits, the rows of the divisor matrix and its column classes by
 breadth-first orbits over the generators.  The oracles here sweep the
 whole element set instead, built by the test-side closure in
-group_oracle.py, and closed forms for the split-Cartan normalizers and
-Borel groups check the cusp counts.
+group_oracle.py, or walk every row vector for the column classes, and
+closed forms for the split-Cartan normalizers and Borel groups check the
+cusp and column counts.
 """
 
 import random
 from math import gcd
 
 import pytest
-from group_oracle import group_elements
+from group_oracle import group_elements, mat_inv, mat_vec, random_generator_set, walk_column_reps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rungemod.cusps import (
     canonical_class,
@@ -26,11 +29,10 @@ from rungemod.cusps import (
 from rungemod.errors import NotDefinedOverQ
 from rungemod.modnt import (
     det_image,
+    generate_subgroup,
     kernel_level_group,
     mat_det,
-    mat_inv,
     mat_mul,
-    mat_vec,
     minus_identity_mat,
     parse_group_text,
     parse_preset,
@@ -240,7 +242,34 @@ def test_trace_columns_match_element_sweep(name):
             assert [ord_w(G, a, member) for a in M.columns[:3]] == list(row[:3])
 
 
-@pytest.mark.parametrize("name", sorted(GROUPS))
+@pytest.mark.parametrize("name", sorted(CUSP_GROUPS))
 def test_column_reps_match_element_sweep(name):
-    G = GROUPS[name]()
+    G = CUSP_GROUPS[name]()
     assert list(_column_reps(G)) == oracle_column_reps(G)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1).map(random_generator_set))
+@example((12, [(1, 1, 0, 1), (1, 0, 0, 5), (1, 0, 0, 7)]))
+@example((12, [(11, 0, 0, 11), (1, 0, 1, 1)]))
+@example((9, [(1, 1, 0, 1), (1, 0, 3, 1)]))
+@example((7, [(1, 0, 0, 1)]))
+def test_column_reps_match_row_walk(case):
+    # random groups, many without every scalar or with a det image that is
+    # not full: the classes of G' = <det(g)^-1 g> must still be G's row classes
+    n, gens = case
+    G = generate_subgroup(n, gens)
+    assert [(a.a1, a.a2) for a in _column_reps(G)] == walk_column_reps(G)
+
+
+@pytest.mark.parametrize(
+    "kind,p,r",
+    [("split", 3, r) for r in range(1, 6)]
+    + [("split", 11, 2), ("borel", 3, 4), ("nonsplit", 3, 4), ("full", 3, 2)],
+)
+def test_column_counts_match_closed_forms(kind, p, r):
+    # content p^i holds the classes of the primitive rows mod p^k, k = r - i:
+    # k + 1 of them for split and borel, one for nonsplit and full
+    G = parse_preset("%s:%d^%d" % (kind, p, r))
+    want = r * (r + 3) // 2 if kind in ("split", "borel") else r
+    assert len(_column_reps(G)) == want

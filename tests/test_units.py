@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from group_oracle import mat_vec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from rungemod.errors import (
     SigmaNotProper,
 )
 from rungemod import units
-from rungemod.modnt import kernel_level_group, mat_vec, parse_group_text, preset_subgroup
+from rungemod.modnt import kernel_level_group, parse_group_text, preset_subgroup
 from rungemod.units import (
     CuspDivisor,
     TorsionIndex,
