@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -95,6 +96,12 @@ def _emit(payload: Dict, fmt: str, text_lines: List[str], out) -> None:
             out.write(line + "\n")
 
 
+def _exact_text(q: Fraction) -> str:
+    """str(q) at any size: Decimal writes an int's digits without str's 4300-digit limit."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else "%s/%s" % (num, Decimal(q.denominator))
+
+
 def _bound_payload(rep: BoundReport, precision: int) -> Dict:
     return {
         "schema": SCHEMA,
@@ -102,7 +109,7 @@ def _bound_payload(rep: BoundReport, precision: int) -> Dict:
         "name": rep.name,
         "inputs": dict(rep.inputs),
         "value_log": rep.upper_float(),
-        "value_exact": None if rep.value_exact is None else str(rep.value_exact),
+        "value_exact": None if rep.value_exact is None else _exact_text(rep.value_exact),
         "value_exact_form": rep.value_exact_form,
         "applicable": rep.applicable,
         "reason": rep.reason,
@@ -115,7 +122,7 @@ def _bound_text(rep: BoundReport) -> List[str]:
     for key in sorted(rep.inputs):
         lines.append("  %s = %s" % (key, rep.inputs[key]))
     if rep.value_exact is not None:
-        lines.append("  value = %s (exact)" % rep.value_exact)
+        lines.append("  value = %s (exact)" % _exact_text(rep.value_exact))
     lines.append("  value <= %.17g (rounded up)" % rep.upper_float())
     return lines
 

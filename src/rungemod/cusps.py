@@ -3,10 +3,10 @@
 A cusp is an orbit of <G, -1> meet SL2 acting on primitive column vectors
 mod N, taken modulo sign; the orbit of the same classes under <G, -1> is
 the Galois orbit over Q (valid when det G is all of (Z/N)^*).  Both come
-from one breadth-first pass over the classes under the generators of G,
-which records the det of the generator word reaching each class; widths
-and the index in SL2 follow by counting, so no element set is read.  The
-divisor-matrix rows sum over the class list the pass keeps for each orbit.
+from one breadth-first pass under the generators of G over the lines {s*w}
+of the classes w under the scalars s of G, which records the det of a word
+reaching each class; widths and the index in SL2 follow by counting, so no
+element set is read.  The divisor-matrix rows sum over the pass's line reps.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, gcd, log
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundViolated, NotDefinedOverQ
 from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, sl2_order, unit_count
@@ -118,26 +118,64 @@ class PlaceConstants:
         return None
 
 
+def _walk_lines(n: int, gens: Sequence[Mat], lams: Sequence[int], seed: Vec,
+                t: Dict[Vec, int]) -> Tuple[List[Vec], Set[int]]:
+    """Orbit of the +/- class seed under <gens, -1> by lines; the line reps and the ratios.
+
+    lams are the group's `line_scalars`; t gets each class w with the det of a
+    word taking seed to it.  A new w fills its line, t[lam*w] = lam^2 t[w],
+    and only w meets the gens: scalars are central, so an edge from lam*w has
+    the ratio t(w)det(g)/t(g*w) of the edge from w, and a scalar edge ratio 1,
+    so the reps' ratios are all of Schreier's and generate det(Stab(seed)).
+    """
+    edges = [(g, mat_det(g, n)) for g in gens]
+    lines: List[Vec] = []
+    ratios: Set[int] = set()
+
+    def fill(x: int, y: int, tx: int) -> None:
+        lines.append((x, y))
+        for lam in lams:
+            u, v = lam * x % n, lam * y % n
+            nu = -u % n
+            if u > nu or u == nu and v > -v % n:  # canonical_class, inlined
+                u, v = nu, -v % n
+            t[(u, v)] = tx * lam * lam % n
+
+    fill(*seed, 1)
+    for x, y in lines:
+        tw = t[(x, y)]
+        for (a, b, c, d), det_g in edges:
+            u, v = (a * x + b * y) % n, (c * x + d * y) % n
+            nu = -u % n
+            if u > nu or u == nu and v > -v % n:
+                u, v = nu, -v % n
+            tv = tw * det_g % n
+            old = t.get((u, v))
+            if old is None:
+                fill(u, v, tv)
+            elif old != tv:
+                ratios.add(tv * pow(old, -1, n) % n)
+    return lines, ratios
+
+
 @functools.lru_cache(maxsize=128)
 def _cusp_data(G: SubgroupG) -> Tuple[
     Tuple[CuspClass, ...], Dict[Vec, CuspClass], Tuple[CuspOrbit, ...], Dict[CuspClass, List[Vec]]
 ]:
-    """All cusps, the map class -> cusp, the <G, -1>-orbits of cusps, the map cusp -> classes.
+    """All cusps, the map class -> cusp, the <G, -1>-orbits of cusps, the map cusp -> line reps.
 
-    One breadth-first pass per orbit of <G, -1> on the vector classes, from
-    the first class of the orbit in the order (1, 0), then the sorted
-    classes.  t[w] is the det of a generator word taking the seed to +/-w.
-    The ratios t(w)det(g)/t(g*w) over the orbit's edges generate
-    S = det(Stab(seed)) (Schreier), and Gamma = <G, -1> meet SL2 is the
-    kernel of det on <G, -1>, so two classes of the orbit lie in one cusp
-    iff their t-values lie in one coset of S.  A cusp c whose classes hold
-    |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c| matrices of SL2
-    taking e1 into V_c are Gamma*lift*U, and Gamma meets lift*U*lift^-1 in
-    N/width elements.  Each cusp maps to its orbit's visited list, uncopied.
+    One `_walk_lines` pass per orbit of <G, -1> on the vector classes, from
+    its first class in the order (1, 0), then the sorted classes.  The ratios
+    generate S = det(Stab(seed)), and Gamma = <G, -1> meet SL2 is the kernel
+    of det on <G, -1>, so two classes of the orbit lie in one cusp iff their
+    t-values lie in one coset of S.  A cusp c whose classes hold |V_c| vectors
+    has width N |V_c| / |Gamma|: the N |V_c| matrices of SL2 taking e1 into
+    V_c are Gamma*lift*U, and Gamma meets lift*U*lift^-1 in N/width elements.
+    Each cusp maps to its orbit's line reps; `orbit_classes` fills them out.
     """
     n = G.n
     one = (1 % n, 0)
-    gens = [(g, mat_det(g, n)) for g in G.generator_mats()]
+    lams = G.line_scalars(n)
     index = sl2_index(G)
     gamma_order = sl2_order(n) // index
     signs = 1 if n == 2 else 2  # vectors per +/- class: v = -v only mod 2
@@ -147,40 +185,23 @@ def _cusp_data(G: SubgroupG) -> Tuple[
 
     member_of: Dict[Vec, CuspClass] = {}
     orbits: List[CuspOrbit] = []
-    classes_of: Dict[CuspClass, List[Vec]] = {}
+    lines_of: Dict[CuspClass, List[Vec]] = {}
 
     for seed in [one] + primitive_classes(n):
         if seed in member_of:
             continue
-        t = {seed: 1}
-        visited = [seed]
-        ratios: Set[int] = set()
-        for w in visited:
-            x, y = w
-            tw = t[w]
-            for (a, b, c, d), det_g in gens:
-                u, v = (a * x + b * y) % n, (c * x + d * y) % n
-                nu = -u % n
-                if u > nu or u == nu and v > -v % n:  # canonical_class, inlined
-                    u, v = nu, -v % n
-                key = (u, v)
-                tv = tw * det_g % n
-                old = t.get(key)
-                if old is None:
-                    t[key] = tv
-                    visited.append(key)
-                elif old != tv:
-                    ratios.add(tv * pow(old, -1, n) % n)
+        t: Dict[Vec, int] = {}
+        lines, ratios = _walk_lines(n, G.generators, lams, seed, t)
         stab_dets = generated_orbit(1, ratios, lambda r, s: r * s % n)
 
         coset_of: Dict[int, int] = {}
         counts: List[int] = []
         reps: List[Vec] = []
-        for w in visited:
-            k = coset_of.get(t[w])
+        for w, tw in t.items():
+            k = coset_of.get(tw)
             if k is None:
                 k = len(counts)
-                coset_of.update((t[w] * s % n, k) for s in stab_dets)
+                coset_of.update((tw * s % n, k) for s in stab_dets)
                 counts.append(0)
                 reps.append(w)
             counts[k] += 1
@@ -195,9 +216,8 @@ def _cusp_data(G: SubgroupG) -> Tuple[
             if rem or n % width:
                 raise BoundViolated(f"width of cusp {rep} of {G.label} is not a divisor of {n}")
             members.append(CuspClass(n=n, rep=rep, width=width, lift=sl2_lift(rep, n)))
-        for w in visited:
-            member_of[w] = members[coset_of[t[w]]]
-        classes_of.update((c, visited) for c in members)
+        member_of.update((w, members[coset_of[tw]]) for w, tw in t.items())
+        lines_of.update((c, lines) for c in members)
         members.sort(key=seed_order)
         orbits.append(CuspOrbit(members=tuple(members)))
 
@@ -205,7 +225,7 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     cusps = sorted((c for o in orbits for c in o.members), key=seed_order)
     if sum(c.width for c in cusps) != index:
         raise BoundViolated(f"cusp widths of {G.label} do not sum to its index {index}")
-    return tuple(cusps), member_of, tuple(orbits), classes_of
+    return tuple(cusps), member_of, tuple(orbits), lines_of
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
@@ -223,8 +243,9 @@ def cusp_containing(G: SubgroupG, v: Vec) -> CuspClass:
 
 
 def orbit_classes(G: SubgroupG, c: CuspClass) -> List[Vec]:
-    """The vector classes of the <G, -1>-orbit of c.rep, as the cusp pass found them."""
-    return _cusp_data(G)[3][cusp_containing(G, c.rep)]
+    """The vector classes of the <G, -1>-orbit of c.rep, filled out from the pass's lines."""
+    lines, lams = _cusp_data(G)[3][cusp_containing(G, c.rep)], G.line_scalars(G.n)
+    return [canonical_class((lam * x, lam * y), G.n) for x, y in lines for lam in lams]
 
 
 def cusp_width(G: SubgroupG, c: CuspClass) -> int:

@@ -1,12 +1,12 @@
 """Exact 2x2 matrix arithmetic over Z/N and subgroups of GL2(Z/N) given by generators.
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
-A subgroup is described by its generators alone: |G| and whether -1 and
-every scalar lie in G come from a two-point stabilizer chain with base
-(e1, e2), found breadth-first over the orbit G*e1, and the determinant
-image, the cusps and the orbits that downstream sums over G reduce to are
-orbits under the generators, exact by orbit-stabilizer.  No element set is
-stored; moduli are capped.
+A subgroup is described by its generators alone: |G| and the scalars in G
+come from a two-point stabilizer chain with base (e1, e2), found breadth-
+first over the orbit G*e1, and the determinant image, the cusps and the
+orbits that downstream sums over G reduce to are orbits under the
+generators, exact by orbit-stabilizer.  No element set is stored; moduli
+are capped.
 """
 
 from __future__ import annotations
@@ -92,18 +92,24 @@ class SubgroupG:
     """A subgroup of GL2(Z/N), described by its generators.
 
     Invariant: `generators` (reduced 4-tuples) generate a group of `order`
-    elements, which contains -1 iff `contains_minus_one` and every scalar
-    iff `contains_scalars`; the three facts come from the stabilizer chain
-    when the group is built.  The generators drive the determinant image
-    and every orbit search (cusps, Galois orbits, trace rows, columns).
+    elements, whose scalars s*1 are those with s in the sorted `scalars`;
+    both facts come from the stabilizer chain when the group is built.  The
+    generators drive the determinant image and every orbit search (cusps,
+    Galois orbits, trace rows, columns).
     """
 
     n: int
     generators: Tuple[Mat, ...]
     order: int
-    contains_minus_one: bool
-    contains_scalars: bool
+    scalars: Tuple[int, ...]
     label: str = "custom"
+
+    contains_minus_one = property(lambda self: self.scalars[-1] == self.n - 1)
+    contains_scalars = property(lambda self: len(self.scalars) == unit_count(self.n))
+
+    def line_scalars(self, m: int) -> Tuple[int, ...]:
+        """The least of +/-s mod m for each scalar s, once each: a primitive w's line is {s*w}."""
+        return tuple(sorted({min(s % m, -s % m) for s in self.scalars}))
 
     def generator_mats(self) -> Tuple[Mat, ...]:
         return self.generators
@@ -234,8 +240,8 @@ def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
         u = transversal.get((s % n, 0))
         return u is not None and (-s * u[0] * u[2] % n, s * s * u[2] % n) in stab
 
-    scalars = all(has_scalar(s) for s in range(1, n) if egcd(s, n)[0] == 1)
-    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), has_scalar(-1), scalars, label)
+    scalars = tuple(s for s in range(1, n) if egcd(s, n)[0] == 1 and has_scalar(s))
+    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), scalars, label)
 
 
 def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:

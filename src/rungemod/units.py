@@ -3,10 +3,10 @@
 Everything here is exact integer or rational arithmetic.  The basic datum
 is ell(a) = B2({a1})/2; all cusp orders are integer combinations of the
 scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.  A row of the divisor
-matrix sums these over the vector classes of one cusp orbit, as the cusp
-pass in `cusps` found them; nothing here walks a cusp orbit again, and
-the column classes come from those orbits too, with one small pass per
-content level (see `_column_reps`).
+matrix sums them over one cusp orbit's lines {s*r}, s a scalar of G, as one
+table lookup F(a*r) = sum over s of the value at s*a*r per line rep r that
+the cusp pass in `cusps` kept; nothing here walks a cusp orbit again, and
+the column classes come from those lines too (see `_column_reps`).
 """
 
 import functools
@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, canonical_class, galois_orbits,
-                    orbit_classes, primitive_classes, runge_condition)
+from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, _walk_lines, cusp_containing,
+                    galois_orbits, primitive_classes, runge_condition)
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -27,7 +27,7 @@ from .errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det
+from .modnt import Mat, SubgroupG, det_image, mat_det, unit_count
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,10 @@ def ell(a: TorsionIndex) -> Fraction:
 
 
 @functools.lru_cache(maxsize=64)
-def _ell_table(n: int) -> Tuple[int, ...]:
-    # 12*n^2*ell(x/n) as an exact integer, for x in [0, n)
-    return tuple(6 * x * x - 6 * n * x + n * n for x in range(n))
+def _ell_table(n: int, lams: Tuple[int, ...] = (1,)) -> Tuple[int, ...]:
+    # the sum over lam in lams of 12*n^2*ell(lam*x/n), an exact integer, for x in [0, n)
+    return tuple(sum(6 * y * y - 6 * n * y + n * n for y in (lam * x % n for lam in lams))
+                 for x in range(n))
 
 
 def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
@@ -101,27 +102,27 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _trace_row(G: SubgroupG, c: CuspClass, columns: Tuple[TorsionIndex, ...]) -> Tuple[int, ...]:
-    """Orders at the cusp c of the trace products w_a, a in columns, over c's orbit classes.
+    """Orders at the cusp c of the trace products w_a, a in columns, over c's orbit lines.
 
-    Each is (width/n) * sum over sigma in G of 12 n^2 ell(a*sigma*lift);
-    sigma*lift has first column sigma*rep, so this is |Stab(rep)| times a
-    sum over G*rep, whose +/- classes the cusp pass found.  The table is
-    even, so both vectors of a class give one term; and as -1 commutes
-    with G, G*rep meets every class in the same number (1 or 2) of
-    vectors.  So the sum over G is |G|/|classes| times that over classes.
+    Each is (width/n) * sum over sigma in G of 12 n^2 ell(a*sigma*lift), and
+    sigma*lift has first column sigma*rep.  The table is even, and as -1
+    commutes with G, G*rep meets every +/- class of the orbit in the same
+    number (1 or 2) of vectors: the sum is |G|/|classes| times that over the
+    classes lam*r, r a line rep.  As a*(lam*r) = lam*(a*r), that is the sum
+    over r of F(a*r), where F(k) sums the table at lam*k over the lams.
     """
     n = G.n
     if not det_image(G).is_full:
         raise NotDefinedOverQ("trace orders need the determinant map onto (Z/n)*")
-    classes = orbit_classes(G, c)
-    mult, rem = divmod(G.order, len(classes))
+    lines, lams = _cusp_data(G)[3][cusp_containing(G, c.rep)], G.line_scalars(n)
+    mult, rem = divmod(G.order, len(lines) * len(lams))
     if rem:
-        raise BoundViolated(f"{len(classes)} classes in an orbit do not divide |G| = {G.order}")
-    table = _ell_table(n)
+        raise BoundViolated(f"an orbit's {len(lines)}*{len(lams)} classes do not divide {G.order}")
+    table = _ell_table(n, lams)
     row = []
     for a in columns:
         a1, a2 = a.a1, a.a2
-        total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in classes)
+        total = mult * sum(table[(a1 * u + a2 * w) % n] for u, w in lines)
         val, rem = divmod(c.width * total, n)
         if rem:
             raise NotIntegral(f"width {c.width} times {total} is not divisible by {n}")
@@ -139,22 +140,26 @@ def ord_w(G: SubgroupG, a: TorsionIndex, c: CuspClass) -> int:
     return _trace_row(G, c, (a,))[0]
 
 
-def _least_row(classes: Iterable[Vec], m: int) -> Vec:
-    # the class of a column b = +/-(x, y) holds the rows a = +/-(-y, x), as b = J*a^T
-    return min(min((-y % m, x), (y, -x % m)) for x, y in classes)
+def _least_row(lines: Sequence[Vec], m: int, lams: Sequence[int]) -> Vec:
+    """Least row of an orbit of +/- column classes mod m, from one class per line.
+
+    As b = J*a^T, the line of (x, y) holds the rows u*(-y, x), u in +/-lams.  If
+    those are all units, the least first entry is g = gcd(y, m), got by u = g/(-y) mod m/g.
+    """
+    if 2 * len(lams) < unit_count(m):
+        return min(min((lam * -y % m, lam * x % m), (lam * y % m, lam * -x % m))
+                   for x, y in lines for lam in lams)
+    first = min(gcd(y, m) % m for _, y in lines)
+    g = gcd(first, m)
+    return first, min(u * x % m for x, y in lines if gcd(y, m) % m == first
+                      for u in range(pow(-y % m // g, -1, m // g), m, m // g) if gcd(u, m) == 1)
 
 
-def _level_reps(m: int, gens: Sequence[Mat]) -> List[Vec]:
-    """Least row of each orbit of the +/- classes of primitive columns mod m under gens."""
-    seen: Set[Vec] = set()
-    reps = []
-    for seed in primitive_classes(m):
-        if seed not in seen:
-            orbit = generated_orbit(seed, gens, lambda g, v: canonical_class(
-                (g[0] * v[0] + g[1] * v[1], g[2] * v[0] + g[3] * v[1]), m))
-            seen.update(orbit)
-            reps.append(_least_row(orbit, m))
-    return reps
+def _level_reps(m: int, gens: Sequence[Mat], lams: Sequence[int]) -> List[Vec]:
+    """Least row of each orbit of the +/- primitive column classes mod m under gens and lams."""
+    seen: Dict[Vec, int] = {}
+    return [_least_row(_walk_lines(m, gens, lams, seed, seen)[0], m, lams)
+            for seed in primitive_classes(m) if seed not in seen]
 
 
 @functools.lru_cache(maxsize=64)
@@ -165,18 +170,19 @@ def _column_reps(G: SubgroupG) -> Tuple[TorsionIndex, ...]:
     the row classes are the +/- column classes under G' = <det(g)^-1 g>, as
     g -> det(g)^-1 g is a homomorphism.  Rows of content d = gcd(a1, a2, N) are
     d times the primitive rows mod N/d: one class-orbit pass under G' mod N/d
-    each.  If G holds every scalar, G' lies in G and, the map being injective,
-    is G: the content-1 classes are then the cusp pass's <G, -1>-orbits.
+    each, by lines, as G' holds lam^-1 for each scalar lam of G.  If G holds
+    every scalar, G' lies in G and, the map being injective, is G: the
+    content-1 classes are then the cusp pass's <G, -1>-orbits, by lines.
     """
     n = G.n
     gens = [tuple(pow(mat_det(g, n), -1, n) * x % n for x in g) for g in G.generator_mats()]
     if G.contains_scalars:
-        _, _, orbits, classes_of = _cusp_data(G)
-        reps = [_least_row(classes_of[o.members[0]], n) for o in orbits]
+        _, _, orbits, lines_of = _cusp_data(G)
+        reps = [_least_row(lines_of[o.members[0]], n, G.line_scalars(n)) for o in orbits]
     else:
-        reps = _level_reps(n, gens)
+        reps = _level_reps(n, gens, G.line_scalars(n))
     for d in [d for d in range(2, n) if n % d == 0]:
-        reps += [(d * x, d * y) for x, y in _level_reps(n // d, gens)]
+        reps += [(d * x, d * y) for x, y in _level_reps(n // d, gens, G.line_scalars(n // d))]
     return tuple(TorsionIndex(n, x, y) for x, y in sorted(reps))
 
 

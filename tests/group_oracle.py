@@ -1,10 +1,12 @@
 """Test-side oracles and helpers for subgroups of GL2(Z/n).
 
 `closure` is the breadth-first closure loop the library used before it
-computed |G| and -1 from a stabilizer chain, and `walk_column_reps` is the
+computed |G| and -1 from a stabilizer chain, `walk_column_reps` is the
 walk over every row vector it used before it read the divisor-matrix
-columns off the cusp pass.  They share no code with rungemod, so the tests
-that compare against them stay independent of the library's algorithms.
+columns off the cusp pass, and `walk_cusps` is the cusp pass as it ran
+before it walked whole lines under the scalars: one class at a time.  They
+share no code with rungemod, so the tests that compare against them stay
+independent of the library's algorithms.
 """
 
 import functools
@@ -99,3 +101,84 @@ def walk_column_reps(G):
                         orbit.append(v)
             reps.append((a1, a2))
     return reps
+
+
+def walk_cusps(G):
+    """Cusps, widths and Galois orbits of G by a class-by-class walk.
+
+    One breadth-first walk over the +/- classes of primitive vectors under
+    the generators per orbit of <G, -1>, seeded at (1, 0), then at each
+    unseen class in sorted order.  t[w] is the det of a generator word
+    taking the seed to +/-w; two classes of an orbit lie in one cusp iff
+    their t-values lie in one coset of the group S the ratios
+    t(w)det(g)/t(g*w) generate.  A cusp of c classes has width
+    n*c*signs/|<G, -1> meet SL2|, read off G.order and G.contains_minus_one.
+
+    Returns the (rep, width) list, (1, 0) first and then by rep; the map
+    class -> cusp index; the orbits as sorted lists of cusp indices, by
+    their least index; and each orbit's class set, by cusp index.
+    """
+    n = G.n
+    one = (1 % n, 0)
+
+    def canon(u, v):
+        u, v = u % n, v % n
+        return min((u, v), (-u % n, -v % n))
+
+    def unit_span(units):
+        # the subgroup of (Z/n)^* that `units` generate
+        out = [1 % n]
+        for x in out:
+            out.extend(y for y in {x * u % n for u in units} if y not in out)
+        return set(out)
+
+    gens = [(g, (g[0] * g[3] - g[1] * g[2]) % n) for g in G.generators]
+    dets = unit_span([e for _, e in gens])
+    gamma_order = G.order * (1 if G.contains_minus_one else 2) // len(dets)
+    signs = 1 if n == 2 else 2
+    classes = sorted(
+        {canon(x, y) for x in range(n) for y in range(n) if gcd(gcd(x, y), n) == 1}
+    )
+
+    member_of = {}
+    found = []  # (rep, width, orbit number)
+    orbit_sets = []
+    for seed in [one] + classes:
+        if seed in member_of:
+            continue
+        t = {seed: 1}
+        visited = [seed]
+        ratios = set()
+        for w in visited:
+            for (a, b, c, d), det_g in gens:
+                key = canon(a * w[0] + b * w[1], c * w[0] + d * w[1])
+                tv = t[w] * det_g % n
+                if key not in t:
+                    t[key] = tv
+                    visited.append(key)
+                elif t[key] != tv:
+                    ratios.add(tv * pow(t[key], -1, n) % n)
+        stab = unit_span(ratios)
+        cosets = {}
+        for w in visited:
+            coset = min(t[w] * s % n for s in stab)
+            cosets.setdefault(coset, []).append(w)
+        for members in cosets.values():
+            rep = seed if seed in members else min(members)
+            width = n * len(members) * signs // gamma_order
+            for w in members:
+                member_of[w] = rep
+            found.append((rep, width, len(orbit_sets)))
+        orbit_sets.append(set(visited))
+
+    found.sort(key=lambda f: (f[0] != one, f[0]))
+    index_of = {f[0]: i for i, f in enumerate(found)}
+    orbits = sorted(
+        [i for i, f in enumerate(found) if f[2] == k] for k in range(len(orbit_sets))
+    )
+    return (
+        [(rep, width) for rep, width, _ in found],
+        {w: index_of[rep] for w, rep in member_of.items()},
+        orbits,
+        {i: orbit_sets[f[2]] for i, f in enumerate(found)},
+    )

@@ -7,6 +7,7 @@ function's return value, not shell pipeline status.
 import json
 import math
 import os
+from decimal import Decimal
 from io import StringIO
 
 import pytest
@@ -147,6 +148,20 @@ def test_bound_tbo_exact_via_cli():
     assert rc == 0
     assert payload["value_exact"] == "740880"
     assert payload["value_log"] >= 740880.0
+
+
+def test_bound_tbo_exact_value_past_the_digit_limit():
+    # at s = 860 the exact value has 4318 digits, past str()'s 4300-digit limit
+    # for ints; it is written in full, not refused as a usage error
+    argv = ["bound", "--theorem", "tbo", "--group", "split:7", "--s", "860"]
+    want = Decimal(860 ** 431 * (72 * 49) ** 860 * 7 * 30)
+    rc, payload = invoke_json(argv)
+    assert rc == 0
+    assert len(payload["value_exact"]) == 4318
+    assert Decimal(payload["value_exact"]) == want
+    rc, text = invoke(argv)
+    assert rc == 0
+    assert "  value = %s (exact)\n" % payload["value_exact"] in text
 
 
 def test_bound_th1_via_cli():

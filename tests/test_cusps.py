@@ -221,3 +221,25 @@ def test_cusp_partition_property(p, data):
     c = cusp_containing(G, v)
     assert c in enumerate_cusps(G)
     assert cusp_width(G, c) == c.width
+
+
+# genus of X_0(N) for the prime powers N <= 49 that the borel presets take
+X0_GENUS = {
+    3: 0, 5: 0, 7: 0, 9: 0, 11: 1, 13: 0, 17: 1, 19: 1, 23: 2, 25: 0,
+    27: 1, 29: 2, 31: 2, 37: 2, 41: 3, 43: 3, 47: 4, 49: 1,
+}
+
+
+@pytest.mark.parametrize("N", sorted(X0_GENUS))
+def test_borel_genus_matches_x0(N):
+    # 1 + mu/12 - nu2/4 - nu3/3 - nuinf/2, with the classical elliptic point
+    # counts of Gamma_0(p^k), p odd: nu2 = 1 + (-1/p), and nu3 = 1 + (-3/p)
+    # unless 9 | N, where it is 0; (-3/3) = 0
+    p = next(q for q in range(3, N + 1) if N % q == 0)
+    k = next(k for k in range(1, 7) if p ** k == N)
+    G = preset_subgroup("borel", p, k)
+    nu2 = 1 + (1 if p % 4 == 1 else -1)
+    nu3 = 0 if N % 9 == 0 else 1 + (0 if p == 3 else 1 if p % 3 == 1 else -1)
+    genus = 1 + Fraction(sl2_index(G), 12) - Fraction(nu2, 4) - Fraction(nu3, 3)
+    genus -= Fraction(len(enumerate_cusps(G)), 2)
+    assert genus == X0_GENUS[N]

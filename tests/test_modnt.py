@@ -102,6 +102,8 @@ def test_full_preset_matches_brute_force_mod5():
 # (Z/12)* is not cyclic: every scalar, then only the scalars 1 and -1
 @example((12, [(5, 0, 0, 5), (7, 0, 0, 7), (1, 0, 1, 1)]))
 @example((12, [(11, 0, 0, 11), (1, 0, 1, 1)]))
+# some scalars only: 5 has order 4 mod 13, so the scalars are 1, 5, 8 and 12
+@example((13, [(1, 1, 0, 1), (5, 0, 0, 5)]))
 def test_chain_matches_closure_oracle(case):
     n, gens = case
     G = generate_subgroup(n, gens)
@@ -109,6 +111,7 @@ def test_chain_matches_closure_oracle(case):
     assert G.order == len(elems)
     assert G.contains_minus_one == ((n - 1, 0, 0, n - 1) in elems)
     units = [s for s in range(1, n) if gcd(s, n) == 1]
+    assert G.scalars == tuple(s for s in units if (s, 0, 0, s) in elems)
     assert G.contains_scalars == all((s, 0, 0, s) in elems for s in units)
     assert G.elements == elems
 

@@ -13,7 +13,14 @@ import random
 from math import gcd
 
 import pytest
-from group_oracle import group_elements, mat_inv, mat_vec, random_generator_set, walk_column_reps
+from group_oracle import (
+    group_elements,
+    mat_inv,
+    mat_vec,
+    random_generator_set,
+    walk_column_reps,
+    walk_cusps,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +29,7 @@ from rungemod.cusps import (
     cusp_containing,
     enumerate_cusps,
     galois_orbits,
+    orbit_classes,
     primitive_classes,
     sl2_index,
     sl2_lift,
@@ -74,6 +82,12 @@ CUSP_GROUPS = dict(
         "text:gamma1:2": lambda: parse_group_text("N=2\n1 1 0 1\n"),
         # Gamma1-type mod 12, without -1
         "text:gamma1:12": lambda: parse_group_text("N=12\n1 1 0 1\n1 0 0 5\n1 0 0 7\n"),
+        # split-Cartan normalizer mod 15: composite, with every scalar
+        "text:split:15": lambda: parse_group_text(
+            "N=15\n2 0 0 1\n14 0 0 1\n1 0 0 2\n1 0 0 14\n0 1 1 0\n"
+        ),
+        # only the scalars 1, 5, 8, 12 = +/-1, +/-5: lines of two classes
+        "text:scalar5:13": lambda: parse_group_text("N=13\n1 1 0 1\n5 0 0 5\n"),
     },
 )
 
@@ -240,6 +254,52 @@ def test_trace_columns_match_element_sweep(name):
         # ord_w is the one-column case, at every member of the orbit
         for member in orbit.members:
             assert [ord_w(G, a, member) for a in M.columns[:3]] == list(row[:3])
+
+
+def check_cusp_pass_against_class_walk(G):
+    # the line walk against the class-by-class walk: cusps, the class map,
+    # each orbit's classes, the Galois orbits and every divisor-matrix entry
+    n = G.n
+    cusps, member_of, orbits, classes = walk_cusps(G)
+    got = enumerate_cusps(G)
+    assert [(c.rep, c.width) for c in got] == cusps
+    for v, i in member_of.items():
+        assert cusp_containing(G, v) == got[i]
+    for i, c in enumerate(got):
+        filled = orbit_classes(G, c)
+        assert len(filled) == len(classes[i]) and set(filled) == classes[i]
+    if not det_image(G).is_full:
+        with pytest.raises(NotDefinedOverQ):
+            divisor_matrix(G)
+        return
+    assert [[got.index(c) for c in o.members] for o in galois_orbits(G)] == orbits
+    M = divisor_matrix(G)
+    assert [(a.a1, a.a2) for a in M.columns] == walk_column_reps(G)
+    for orbit, row in zip(M.orbits, M.entries):
+        c = orbit.members[0]
+        cls = classes[got.index(c)]
+        want = []
+        for a in M.columns:
+            xs = [(a.a1 * u + a.a2 * w) % n for u, w in cls]
+            total = G.order // len(cls) * sum(6 * x * x - 6 * n * x + n * n for x in xs)
+            want.append(c.width * total // n)
+        assert list(row) == want
+
+
+@pytest.mark.parametrize("name", sorted(CUSP_GROUPS))
+def test_cusp_pass_matches_class_walk(name):
+    check_cusp_pass_against_class_walk(CUSP_GROUPS[name]())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1).map(random_generator_set))
+@example((13, [(1, 1, 0, 1), (5, 0, 0, 5)]))
+@example((12, [(1, 1, 0, 1), (5, 0, 0, 5), (7, 0, 0, 7), (1, 0, 0, 5), (1, 0, 0, 7)]))
+@example((2, [(1, 1, 0, 1)]))
+def test_cusp_pass_matches_class_walk_on_random_groups(case):
+    # random groups hold all, some or only the trivial scalars
+    n, gens = case
+    check_cusp_pass_against_class_walk(generate_subgroup(n, gens))
 
 
 @pytest.mark.parametrize("name", sorted(CUSP_GROUPS))
