@@ -5,8 +5,11 @@ mod N, taken modulo sign; the orbit of the same classes under <G, -1> is
 the Galois orbit over Q (valid when det G is all of (Z/N)^*).  Both come
 from one breadth-first pass under the generators of G over the lines {s*w}
 of the classes w under the scalars s of G, which records the det of a word
-reaching each class; widths and the index in SL2 follow by counting, so no
-element set is read.  The divisor-matrix rows sum over the pass's line reps.
+reaching each class in one map shared by all orbits; that map, with a small
+one from (orbit, det) to cusp, is the only per-class structure, and seeds
+come from a lazy scan that stops when every class is seen.  Widths and the
+index in SL2 follow by counting, so no element set is read.  The divisor-
+matrix rows sum over the pass's line reps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import exp, gcd, log
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundViolated, NotDefinedOverQ
 from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, sl2_order, unit_count
@@ -30,15 +34,27 @@ def canonical_class(v: Vec, n: int) -> Vec:
     return min(w, neg)
 
 
-def primitive_classes(n: int) -> List[Vec]:
-    """All +/- classes of primitive vectors mod n, sorted."""
+def _classes(n: int) -> Iterator[Vec]:
+    """The +/- classes of primitive vectors mod n in sorted order, one at a time."""
     # each class by its lex-smaller member: x <= n/2, and y halved where x = -x
-    out: List[Vec] = []
-    for x in range(n // 2 + 1):
-        g = gcd(x, n)
-        half = x == -x % n
-        out.extend((x, y) for y in range(n) if gcd(g, y) == 1 and not (half and y > -y % n))
-    return out
+    return ((x, y) for x in range(n // 2 + 1) for y in range(n)
+            if gcd(x, y, n) == 1 and not (x == -x % n and y > -y % n))
+
+
+def primitive_classes(n: int) -> List[Vec]:
+    """All +/- classes of primitive vectors mod n, sorted: the list form of `_classes`."""
+    return list(_classes(n))
+
+
+def _orbit_seeds(n: int, seen: Dict[Vec, int]) -> Iterator[Vec]:
+    """(1, 0), then each class not in `seen` in sorted order, until `seen` holds every class;
+    the caller walks each seed's orbit into `seen` before asking for the next."""
+    total = sl2_order(n) // (n if n == 2 else 2 * n)  # primitive vectors, two per class but mod 2
+    for seed in chain([(1 % n, 0)], _classes(n)):
+        if len(seen) == total:
+            return
+        if seed not in seen:
+            yield seed
 
 
 def sl2_lift(v: Vec, n: int) -> Mat:
@@ -119,16 +135,18 @@ class PlaceConstants:
 
 
 def _walk_lines(n: int, gens: Sequence[Mat], lams: Sequence[int], seed: Vec,
-                t: Dict[Vec, int]) -> Tuple[List[Vec], Set[int]]:
+                codes: Dict[Vec, int], base: int = 0) -> Tuple[List[Vec], Set[int]]:
     """Orbit of the +/- class seed under <gens, -1> by lines; the line reps and the ratios.
 
-    lams are the group's `line_scalars`; t gets each class w with the det of a
-    word taking seed to it.  A new w fills its line, t[lam*w] = lam^2 t[w],
+    lams are the group's `line_scalars`; codes gets each class w as base + t(w),
+    t(w) the det of a word taking seed to w; the walk meets only this orbit, so
+    one map serves a whole pass.  A new w fills its line, t(lam*w) = lam^2 t(w),
     and only w meets the gens: scalars are central, so an edge from lam*w has
     the ratio t(w)det(g)/t(g*w) of the edge from w, and a scalar edge ratio 1,
     so the reps' ratios are all of Schreier's and generate det(Stab(seed)).
     """
     edges = [(g, mat_det(g, n)) for g in gens]
+    code = [base + t for t in range(n)]  # so the classes of one code share one int object
     lines: List[Vec] = []
     ratios: Set[int] = set()
 
@@ -139,39 +157,42 @@ def _walk_lines(n: int, gens: Sequence[Mat], lams: Sequence[int], seed: Vec,
             nu = -u % n
             if u > nu or u == nu and v > -v % n:  # canonical_class, inlined
                 u, v = nu, -v % n
-            t[(u, v)] = tx * lam * lam % n
+            codes[(u, v)] = code[tx * lam * lam % n]
 
     fill(*seed, 1)
     for x, y in lines:
-        tw = t[(x, y)]
+        tw = codes[(x, y)] - base
         for (a, b, c, d), det_g in edges:
             u, v = (a * x + b * y) % n, (c * x + d * y) % n
             nu = -u % n
             if u > nu or u == nu and v > -v % n:
                 u, v = nu, -v % n
             tv = tw * det_g % n
-            old = t.get((u, v))
+            old = codes.get((u, v))
             if old is None:
                 fill(u, v, tv)
-            elif old != tv:
-                ratios.add(tv * pow(old, -1, n) % n)
+            elif old - base != tv:
+                ratios.add(tv * pow(old - base, -1, n) % n)
     return lines, ratios
 
 
 @functools.lru_cache(maxsize=128)
 def _cusp_data(G: SubgroupG) -> Tuple[
-    Tuple[CuspClass, ...], Dict[Vec, CuspClass], Tuple[CuspOrbit, ...], Dict[CuspClass, List[Vec]]
+    Tuple[CuspClass, ...], Tuple[Dict[Vec, int], Dict[int, CuspClass]], Tuple[CuspOrbit, ...],
+    Dict[CuspClass, List[Vec]]
 ]:
-    """All cusps, the map class -> cusp, the <G, -1>-orbits of cusps, the map cusp -> line reps.
+    """All cusps, the maps class -> code -> cusp, the <G, -1>-orbits of cusps, cusp -> line reps.
 
-    One `_walk_lines` pass per orbit of <G, -1> on the vector classes, from
-    its first class in the order (1, 0), then the sorted classes.  The ratios
-    generate S = det(Stab(seed)), and Gamma = <G, -1> meet SL2 is the kernel
-    of det on <G, -1>, so two classes of the orbit lie in one cusp iff their
-    t-values lie in one coset of S.  A cusp c whose classes hold |V_c| vectors
-    has width N |V_c| / |Gamma|: the N |V_c| matrices of SL2 taking e1 into
-    V_c are Gamma*lift*U, and Gamma meets lift*U*lift^-1 in N/width elements.
-    Each cusp maps to its orbit's line reps; `orbit_classes` fills them out.
+    One `_walk_lines` pass per orbit of <G, -1> on the vector classes, the k-th
+    from its first class in the order (1, 0), then the sorted classes, into one
+    map of codes k*N + t: the pass's only per-class structure.  The ratios
+    generate S = det(Stab(seed)), and Gamma = <G, -1> meet SL2 is the kernel of
+    det on <G, -1>, so two classes of the orbit lie in one cusp iff their
+    t-values lie in one coset of S; so a code names its cusp.  A cusp c whose
+    classes hold |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c|
+    matrices of SL2 taking e1 into V_c are Gamma*lift*U, and Gamma meets
+    lift*U*lift^-1 in N/width elements.  Each cusp maps to its orbit's line
+    reps; `orbit_classes` fills them out.
     """
     n = G.n
     one = (1 % n, 0)
@@ -183,21 +204,21 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     def seed_order(c: CuspClass) -> Tuple[bool, Vec]:
         return c.rep != one, c.rep
 
-    member_of: Dict[Vec, CuspClass] = {}
+    codes: Dict[Vec, int] = {}
+    cusp_of: Dict[int, CuspClass] = {}
     orbits: List[CuspOrbit] = []
     lines_of: Dict[CuspClass, List[Vec]] = {}
 
-    for seed in [one] + primitive_classes(n):
-        if seed in member_of:
-            continue
-        t: Dict[Vec, int] = {}
-        lines, ratios = _walk_lines(n, G.generators, lams, seed, t)
+    for seed in _orbit_seeds(n, codes):
+        start, base = len(codes), len(orbits) * n
+        lines, ratios = _walk_lines(n, G.generators, lams, seed, codes, base)
         stab_dets = generated_orbit(1, ratios, lambda r, s: r * s % n)
 
-        coset_of: Dict[int, int] = {}
-        counts: List[int] = []
-        reps: List[Vec] = []
-        for w, tw in t.items():
+        # the orbit's classes are the map's last block; the seed, t = 1, opens coset 0
+        # and stays its rep: (1, 0), or else the least class of its orbit
+        coset_of, counts, reps = dict.fromkeys(stab_dets, 0), [0], [seed]
+        for w, code in islice(reversed(codes.items()), len(codes) - start):
+            tw = code - base
             k = coset_of.get(tw)
             if k is None:
                 k = len(counts)
@@ -205,10 +226,8 @@ def _cusp_data(G: SubgroupG) -> Tuple[
                 counts.append(0)
                 reps.append(w)
             counts[k] += 1
-            if w < reps[k]:
+            if k and w < reps[k]:
                 reps[k] = w
-        # the seed is (1, 0) or else the least class of its orbit
-        reps[0] = seed
 
         members = []
         for rep, count in zip(reps, counts):
@@ -216,7 +235,7 @@ def _cusp_data(G: SubgroupG) -> Tuple[
             if rem or n % width:
                 raise BoundViolated(f"width of cusp {rep} of {G.label} is not a divisor of {n}")
             members.append(CuspClass(n=n, rep=rep, width=width, lift=sl2_lift(rep, n)))
-        member_of.update((w, members[coset_of[tw]]) for w, tw in t.items())
+        cusp_of.update((base + tw, members[k]) for tw, k in coset_of.items())
         lines_of.update((c, lines) for c in members)
         members.sort(key=seed_order)
         orbits.append(CuspOrbit(members=tuple(members)))
@@ -225,7 +244,7 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     cusps = sorted((c for o in orbits for c in o.members), key=seed_order)
     if sum(c.width for c in cusps) != index:
         raise BoundViolated(f"cusp widths of {G.label} do not sum to its index {index}")
-    return tuple(cusps), member_of, tuple(orbits), lines_of
+    return tuple(cusps), (codes, cusp_of), tuple(orbits), lines_of
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
@@ -234,12 +253,12 @@ def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
 
 
 def cusp_containing(G: SubgroupG, v: Vec) -> CuspClass:
-    """The cusp whose vector classes include v."""
-    member_of = _cusp_data(G)[1]
-    key = canonical_class(v, G.n)
-    if key not in member_of:
+    """The cusp whose vector classes include v: the class's code in the pass's map names it."""
+    codes, cusp_of = _cusp_data(G)[1]
+    code = codes.get(canonical_class(v, G.n))
+    if code is None:
         raise ValueError(f"vector {v} is not primitive mod {G.n}")
-    return member_of[key]
+    return cusp_of[code]
 
 
 def orbit_classes(G: SubgroupG, c: CuspClass) -> List[Vec]:

@@ -3,18 +3,20 @@
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
 A subgroup is described by its generators alone: |G| and the scalars in G
 come from a two-point stabilizer chain with base (e1, e2), found breadth-
-first over the orbit G*e1, and the determinant image, the cusps and the
-orbits that downstream sums over G reduce to are orbits under the
-generators, exact by orbit-stabilizer.  No element set is stored; moduli
-are capped.
+first over the orbit G*e1, whose stabilizer is kept as a det image, one
+translate per det and a translation step, and the determinant image, the
+cusps and the orbits that downstream sums over G reduce to are orbits under
+the generators, exact by orbit-stabilizer.  No element set is built, not
+even the stabilizer's; moduli are capped.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import gcd
 from typing import (
-    Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, TypeVar,
+    Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Tuple, TypeVar,
 )
 
 from .errors import BoundViolated, NonInvertibleGenerator, UnsupportedModulus
@@ -25,19 +27,6 @@ MAX_USER_MODULUS = 101
 MAX_PRESET_MODULUS = 343
 
 PRESET_KINDS = ("split_normalizer", "nonsplit_normalizer", "borel", "full")
-
-
-def egcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 def mat_reduce(m: Sequence[int], n: int) -> Mat:
@@ -122,11 +111,11 @@ class SubgroupG:
         a small group's element set, like the benchmark fingerprint and tests.
         """
         n = self.n
-        transversal, stab = _stabilizer_chain(n, self.generators)
+        transversal, beta, step = _stabilizer_chain(n, self.generators)
         return frozenset(
             (x0, (x0 * b + y0 * d) % n, x1, (x1 * b + y1 * d) % n)
             for (x0, x1), (y0, y1, _) in transversal.items()
-            for b, d in stab
+            for d, b0 in beta.items() for b in range(b0 % step, n, step)
         )
 
 
@@ -139,38 +128,32 @@ class DetImage:
     is_full: bool
 
 
-def unit_count(n: int) -> int:
-    """Euler phi."""
-    result = n
-    m = n
-    p = 2
+def _factorize(n: int) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    m, p = n, 2
     while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
         p += 1
     if m > 1:
-        result -= result // m
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def unit_count(n: int) -> int:
+    """Euler phi: N prod_{p|N} (1 - 1/p)."""
+    result = n
+    for p in _factorize(n):
+        result = result // p * (p - 1)
     return result
 
 
 def gl2_order(n: int) -> int:
     """|GL2(Z/N)| = N^4 prod_{p|N} (1 - 1/p)(1 - 1/p^2)."""
     result = n ** 4
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result = result // p * (p - 1)
-            result = result // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        p = m
-        result = result // p * (p - 1)
-        result = result // (p * p) * (p * p - 1)
+    for p in _factorize(n):
+        result = result // p ** 3 * (p - 1) * (p * p - 1)
     return result
 
 
@@ -183,22 +166,24 @@ Column = Tuple[int, int]
 
 def _stabilizer_chain(
     n: int, gens: Sequence[Mat]
-) -> Tuple[Dict[Column, Tuple[int, int, int]], Set[Column]]:
+) -> Tuple[Dict[Column, Tuple[int, int, int]], Dict[int, int], int]:
     """Two-point stabilizer chain of the group G generated by `gens`, base (e1, e2).
 
     Breadth-first over the orbit G*e1, each vertex x keeps the second column
     y and the inverse det of a generator word u_x with u_x*e1 = x: the
     transversal maps x to (y0, y1, 1/det u_x).  An edge x -> z = g*x to a
     vertex already seen gives the Schreier element u_z^-1*g*u_x, found with
-    the adjugate of u_z.  It fixes e1, so it is (1 b; 0 d) and is stored as
-    its second column (b, d); these elements generate Stab(e1) (Schreier's
-    lemma).  So |G| = |G*e1| * |Stab(e1)| without listing G.
+    the adjugate of u_z; it fixes e1, so it is (1 b; 0 d), written (b, d), and
+    these generate Stab(e1) (Schreier's lemma).  Two elements over one d differ
+    by a translation (1 k; 0 1), and those form g*Z/N, so Stab(e1) is kept as
+    one b per d of its det image D, in `beta`, and the step g: it is
+    {(beta[d] + k*g, d)}, and |G| = |G*e1| * |D| * N/g with no element set.
     """
     e1 = (1, 0)
     dets_inv = [pow(mat_det(g, n), -1, n) for g in gens]
     transversal = {e1: (0, 1, 1)}
     queue = [e1]
-    stab: Set[Column] = {(0, 1)}
+    beta, step = {1: 0}, n
     stab_gens: List[Column] = []
     for x in queue:
         x0, x1 = x
@@ -212,36 +197,38 @@ def _stabilizer_chain(
                 queue.append(z)
                 continue
             v0, v1, zdi = known
-            s = ((v1 * w0 - v0 * w1) * zdi % n, (z[0] * w1 - z[1] * w0) * zdi % n)
-            if s in stab:
+            sb, sd = (v1 * w0 - v0 * w1) * zdi % n, (z[0] * w1 - z[1] * w0) * zdi % n
+            if sd in beta and (sb - beta[sd]) % step == 0:
                 continue
-            # Dimino's step: <stab, s> is a union of cosets H*r of the old group
-            # H, with (b, d)*(b', d') = (b' + b*d', d*d'); a rep r and a
-            # generator t open a new coset exactly when r*t lies in none so far
-            stab_gens.append(s)
-            old = list(stab)
-            reps = [(0, 1)]
-            for rb, rd in reps:
+            # a new element: rebuild (beta, step) breadth-first over D from all of them,
+            # with (b, d)*(b', d') = (b' + b*d', d*d'); an edge to a d already reached
+            # adds its translation to g*Z/N
+            stab_gens.append((sb, sd))
+            beta, step, ds = {1: 0}, n, [1]
+            for rd in ds:
                 for tb, td in stab_gens:
-                    r = ((tb + rb * td) % n, rd * td % n)
-                    if r not in stab:
-                        stab.update(((r[0] + hb * r[1]) % n, hd * r[1] % n) for hb, hd in old)
-                        reps.append(r)
-    return transversal, stab
+                    nb, nd = (tb + beta[rd] * td) % n, rd * td % n
+                    if nd not in beta:
+                        ds.append(nd)
+                    step = gcd(step, nb - beta.setdefault(nd, nb))
+    return transversal, beta, step
 
 
 def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
     """SubgroupG for reduced invertible generators, its order and scalars from the chain."""
-    transversal, stab = _stabilizer_chain(n, gens)
+    transversal, beta, step = _stabilizer_chain(n, gens)
 
     def has_scalar(s: int) -> bool:
         # sift s*1: it takes e1 to z = s*e1, and u_z^-1 * s*1 must lie in Stab(e1);
         # its second column adj(u_z) * s*e2 / det u_z is (-s*y0, s^2) / det u_z
         u = transversal.get((s % n, 0))
-        return u is not None and (-s * u[0] * u[2] % n, s * s * u[2] % n) in stab
+        if u is None:
+            return False
+        d = s * s * u[2] % n
+        return d in beta and (-s * u[0] * u[2] - beta[d]) % step == 0
 
-    scalars = tuple(s for s in range(1, n) if egcd(s, n)[0] == 1 and has_scalar(s))
-    return SubgroupG(n, tuple(gens), len(transversal) * len(stab), scalars, label)
+    scalars = tuple(s for s in range(1, n) if gcd(s, n) == 1 and has_scalar(s))
+    return SubgroupG(n, tuple(gens), len(transversal) * len(beta) * (n // step), scalars, label)
 
 
 def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:
@@ -250,7 +237,7 @@ def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:
         raise UnsupportedModulus(f"modulus {n} outside supported range 2..{MAX_USER_MODULUS}")
     gen_mats = [mat_reduce(g, n) for g in gens]
     for g in gen_mats:
-        if egcd(mat_det(g, n), n)[0] != 1:
+        if gcd(mat_det(g, n), n) != 1:
             raise NonInvertibleGenerator(f"generator {g} has det {mat_det(g, n)} mod {n}")
     return _subgroup(n, gen_mats, "custom")
 
@@ -262,26 +249,12 @@ def kernel_level_group(n: int) -> SubgroupG:
     return _subgroup(n, (minus_identity_mat(n),), f"kernel:{n}")
 
 
-def _factorize(n: int) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def primitive_root(n: int) -> int:
     """Smallest generator of the cyclic group (Z/p^k)^*, p odd."""
     phi = unit_count(n)
     prime_divs = list(_factorize(phi))
     for g in range(2, n):
-        if egcd(g, n)[0] != 1:
+        if gcd(g, n) != 1:
             continue
         if all(pow(g, phi // q, n) != 1 for q in prime_divs):
             return g

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, _walk_lines, cusp_containing,
-                    galois_orbits, primitive_classes, runge_condition)
+from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, _orbit_seeds, _walk_lines,
+                    cusp_containing, galois_orbits, runge_condition)
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -84,9 +84,16 @@ def ell(a: TorsionIndex) -> Fraction:
 
 @functools.lru_cache(maxsize=64)
 def _ell_table(n: int, lams: Tuple[int, ...] = (1,)) -> Tuple[int, ...]:
-    # the sum over lam in lams of 12*n^2*ell(lam*x/n), an exact integer, for x in [0, n)
-    return tuple(sum(6 * y * y - 6 * n * y + n * n for y in (lam * x % n for lam in lams))
-                 for x in range(n))
+    # F(x) = the sum over lam in lams of 12*n^2*ell(lam*x/n), an exact integer, for x in [0, n);
+    # lams are a group's `line_scalars` and the summand is even, so F is constant on each
+    # orbit {+/-lam*x} and summed once per orbit
+    table: Dict[int, int] = {}
+    for x in range(n):
+        if x not in table:
+            orbit = [lam * x % n for lam in lams]
+            total = sum(6 * y * y - 6 * n * y + n * n for y in orbit)
+            table.update((z, total) for y in orbit for z in (y, -y % n))
+    return tuple(table[x] for x in range(n))
 
 
 def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
@@ -159,7 +166,7 @@ def _level_reps(m: int, gens: Sequence[Mat], lams: Sequence[int]) -> List[Vec]:
     """Least row of each orbit of the +/- primitive column classes mod m under gens and lams."""
     seen: Dict[Vec, int] = {}
     return [_least_row(_walk_lines(m, gens, lams, seed, seen)[0], m, lams)
-            for seed in primitive_classes(m) if seed not in seen]
+            for seed in _orbit_seeds(m, seen)]
 
 
 @functools.lru_cache(maxsize=64)

@@ -113,6 +113,20 @@ def test_primitive_classes_match_brute_force():
         assert primitive_classes(n) == sorted(brute)
 
 
+def test_walk_lines_one_map_serves_every_orbit():
+    # the cusp pass walks its k-th orbit into one shared map at offset k*N;
+    # each walk must give what a walk into a fresh map gives
+    G = preset_subgroup("split_normalizer", 7, 2)
+    n, lams = G.n, G.line_scalars(G.n)
+    codes = {}
+    for k, seed in enumerate(cusps_mod._orbit_seeds(n, codes)):
+        start, fresh = len(codes), {}
+        shared = cusps_mod._walk_lines(n, G.generators, lams, seed, codes, k * n)
+        assert shared == cusps_mod._walk_lines(n, G.generators, lams, seed, fresh)
+        assert list(codes.items())[start:] == [(w, k * n + t) for w, t in fresh.items()]
+    assert k > 0 and len(codes) == len(primitive_classes(n))
+
+
 def test_lift_shape():
     for n in (3, 4, 5, 7, 12):
         for v in primitive_classes(n):
