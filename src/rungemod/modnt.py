@@ -2,12 +2,12 @@
 
 Matrices are row-major 4-tuples (a, b, c, d) of least nonnegative residues.
 A subgroup is described by its generators alone: |G| and the scalars in G
-come from a two-point stabilizer chain with base (e1, e2), found breadth-
-first over the orbit G*e1, whose stabilizer is kept as a det image, one
-translate per det and a translation step, and the determinant image, the
-cusps and the orbits that downstream sums over G reduce to are orbits under
-the generators, exact by orbit-stabilizer.  No element set is built, not
-even the stabilizer's; moduli are capped.
+come from a three-level stabilizer chain: the orbit G*[e1] of the line of e1
+in P1(Z/N), the image A of Stab([e1]) under (a b; 0 d) -> a, and Stab(e1),
+kept as a det image, one translate per det and a translation step.  The
+determinant image, the cusps and the orbits that downstream sums over G
+reduce to are orbits under the generators, exact by orbit-stabilizer.  No
+element set is built, not even a stabilizer's; moduli are capped.
 """
 
 from __future__ import annotations
@@ -82,9 +82,10 @@ class SubgroupG:
 
     Invariant: `generators` (reduced 4-tuples) generate a group of `order`
     elements, whose scalars s*1 are those with s in the sorted `scalars`;
-    both facts come from the stabilizer chain when the group is built.  The
-    generators drive the determinant image and every orbit search (cusps,
-    Galois orbits, trace rows, columns).
+    both facts come from the three levels of the stabilizer chain (the line
+    G*[e1], A, Stab(e1)) when the group is built.  The generators drive the
+    determinant image and every orbit search (cusps, Galois orbits, trace
+    rows, columns).
     """
 
     n: int
@@ -101,20 +102,25 @@ class SubgroupG:
         return tuple(sorted({min(s % m, -s % m) for s in self.scalars}))
 
     def generator_mats(self) -> Tuple[Mat, ...]:
+        """Alias of `generators`, kept because the benchmark fingerprint reads it."""
         return self.generators
 
     @functools.cached_property
     def elements(self) -> FrozenSet[Mat]:
-        """Every element, built on demand as u_x*(1 b; 0 d) from the chain.
+        """Every element, built on demand as u*t_a*(1 b; 0 d) from the chain's three levels.
 
         The library never reads it; it stays for callers that hash or search
         a small group's element set, like the benchmark fingerprint and tests.
         """
         n = self.n
-        transversal, beta, step = _stabilizer_chain(n, self.generators)
+        transversal, units, beta, step, _ = _stabilizer_chain(n, self.generators)
+        cols = (  # the columns of u*t_a, once per (u, a)
+            (a * x0 % n, a * x1 % n, (b * x0 + d * y0) % n, (b * x1 + d * y1) % n)
+            for x0, x1, y0, y1, _ in transversal.values() for a, (b, d, _, _) in units.items()
+        )
         return frozenset(
             (x0, (x0 * b + y0 * d) % n, x1, (x1 * b + y1 * d) % n)
-            for (x0, x1), (y0, y1, _) in transversal.items()
+            for x0, x1, y0, y1 in cols
             for d, b0 in beta.items() for b in range(b0 % step, n, step)
         )
 
@@ -164,71 +170,105 @@ def sl2_order(n: int) -> int:
 Column = Tuple[int, int]
 
 
-def _stabilizer_chain(
-    n: int, gens: Sequence[Mat]
-) -> Tuple[Dict[Column, Tuple[int, int, int]], Dict[int, int], int]:
-    """Two-point stabilizer chain of the group G generated by `gens`, base (e1, e2).
+def _line_key(n: int) -> Callable[[int, int], Tuple[int, ...]]:
+    """Key of the line {s*(x, y)} in P1(Z/n) of a primitive vector (x, y).
 
-    Breadth-first over the orbit G*e1, each vertex x keeps the second column
-    y and the inverse det of a generator word u_x with u_x*e1 = x: the
-    transversal maps x to (y0, y1, 1/det u_x).  An edge x -> z = g*x to a
-    vertex already seen gives the Schreier element u_z^-1*g*u_x, found with
-    the adjugate of u_z; it fixes e1, so it is (1 b; 0 d), written (b, d), and
-    these generate Stab(e1) (Schreier's lemma).  Two elements over one d differ
-    by a translation (1 k; 0 1), and those form g*Z/N, so Stab(e1) is kept as
-    one b per d of its det image D, in `beta`, and the step g: it is
-    {(beta[d] + k*g, d)}, and |G| = |G*e1| * |D| * N/g with no element set.
+    Per prime power q = p^e dividing n it is y/x mod q when p does not divide
+    x, else q + x/y mod q; by the CRT the tuple over q tells lines apart.
     """
-    e1 = (1, 0)
+    parts = [(p, p ** e, [pow(v, -1, p ** e) if v % p else 0 for v in range(p ** e)])
+             for p, e in _factorize(n).items()]
+    return lambda x, y: tuple(
+        y * inv[x % q] % q if x % p else q + x * inv[y % q] % q for p, q, inv in parts
+    )
+
+
+def _stabilizer_chain(n: int, gens: Sequence[Mat]) -> Tuple[dict, dict, dict, int, tuple]:
+    """Three-level stabilizer chain of the group G generated by `gens`.
+
+    Level 1 is the orbit G*[e1] in P1(Z/N), found breadth-first: the
+    transversal maps each line's key to the columns x, y and 1/det of a
+    generator word u with u*[e1] the line.  An edge P -> Q = g*P to a line
+    already seen gives the Schreier element h = u_Q^-1*g*u_P, which fixes [e1]:
+    it is (a b; 0 d), and these generate Stab([e1]) (Schreier's lemma).
+    Level 2 is the image A of Stab([e1]) under (a b; 0 d) -> a: `units` maps
+    each a in A to (b, d, 1/a, 1/d) of one t_a = (a b; 0 d) in Stab([e1]).
+    Level 3 is the kernel Stab(e1) = {(1 b; 0 d)}, kept as one b per d of
+    its det image D, in `beta`, and a step: it is {(beta[d] + k*step, d)}, as
+    two elements over one d differ by a translation.  So
+    |G| = |G*[e1]| * |A| * |D| * N/step.
+
+    Each h sifts to t_a^-1*h in level 3.  One that fails (or whose a is not
+    in A) joins the generators of Stab([e1]), and levels 2 and 3 are rebuilt
+    from them by Schreier's lemma again: breadth-first over A, each edge to
+    an a already reached sifting t_a'^-1*g*t_a into level 3.  Each rebuild
+    at least doubles the group the two levels hold.  Last come the scalars:
+    s*1 is in G iff s is in A and t_s^-1*s*1 is in level 3.
+    """
+    key = _line_key(n)
     dets_inv = [pow(mat_det(g, n), -1, n) for g in gens]
-    transversal = {e1: (0, 1, 1)}
-    queue = [e1]
+    transversal = {key(1, 0): (1, 0, 0, 1, 1)}
+    queue = list(transversal.values())
+    units = {1: (0, 1, 1, 1)}
     beta, step = {1: 0}, n
-    stab_gens: List[Column] = []
-    for x in queue:
-        x0, x1 = x
-        y0, y1, di = transversal[x]
+    borel: List[Tuple[int, int, int, int, int]] = []
+    kernel: List[Column] = []
+
+    def residue(a: int, b: int, d: int) -> Optional[Column]:
+        # t_a^-1 * (a b; 0 d) = (1 b'; 0 d') as (b', d'), or None when that is in level 3
+        tb, td, tai, tdi = units[a]
+        kd = tdi * d % n
+        kb = tai * (b - tb * kd) % n
+        return None if kd in beta and (kb - beta[kd]) % step == 0 else (kb, kd)
+
+    for x0, x1, y0, y1, di in queue:
         for (a, b, c, d), gdi in zip(gens, dets_inv):
-            z = ((a * x0 + b * x1) % n, (c * x0 + d * x1) % n)
+            z0, z1 = (a * x0 + b * x1) % n, (c * x0 + d * x1) % n
             w0, w1 = (a * y0 + b * y1) % n, (c * y0 + d * y1) % n
-            known = transversal.get(z)
-            if known is None:
-                transversal[z] = (w0, w1, di * gdi % n)
-                queue.append(z)
+            new = (z0, z1, w0, w1, di * gdi % n)
+            u = transversal.setdefault(key(z0, z1), new)
+            if u is new:
+                queue.append(u)
                 continue
-            v0, v1, zdi = known
-            sb, sd = (v1 * w0 - v0 * w1) * zdi % n, (z[0] * w1 - z[1] * w0) * zdi % n
-            if sd in beta and (sb - beta[sd]) % step == 0:
+            # h = u^-1 * (z w), with u^-1 = adj(u)/det u
+            v0, v1, t0, t1, vdi = u
+            ha, hd = (t1 * z0 - t0 * z1) * vdi % n, (v0 * w1 - v1 * w0) * vdi % n
+            hb = (t1 * w0 - t0 * w1) * vdi % n
+            if ha in units and residue(ha, hb, hd) is None:
                 continue
-            # a new element: rebuild (beta, step) breadth-first over D from all of them,
-            # with (b, d)*(b', d') = (b' + b*d', d*d'); an edge to a d already reached
-            # adds its translation to g*Z/N
-            stab_gens.append((sb, sd))
-            beta, step, ds = {1: 0}, n, [1]
-            for rd in ds:
-                for tb, td in stab_gens:
-                    nb, nd = (tb + beta[rd] * td) % n, rd * td % n
-                    if nd not in beta:
-                        ds.append(nd)
-                    step = gcd(step, nb - beta.setdefault(nd, nb))
-    return transversal, beta, step
+            borel.append((ha, hb, hd, pow(ha, -1, n), pow(hd, -1, n)))
+            units, reached = {1: (0, 1, 1, 1)}, [1]
+            for ra in reached:
+                tb, td, tai, tdi = units[ra]
+                for sa, sb, sd, sai, sdi in borel:
+                    na, nb, nd = sa * ra % n, (sa * tb + sb * td) % n, sd * td % n
+                    if na not in units:
+                        units[na] = (nb, nd, sai * tai % n, sdi * tdi % n)
+                        reached.append(na)
+                        continue
+                    k = residue(na, nb, nd)
+                    if k is None:
+                        continue
+                    # rebuild (beta, step) breadth-first over D, with (b, d)*(b', d') =
+                    # (b' + b*d', d*d'); an edge to a d already reached adds a translation
+                    kernel.append(k)
+                    beta, step, ds = {1: 0}, n, [1]
+                    for rd in ds:
+                        for kb, kd in kernel:
+                            eb, ed = (kb + beta[rd] * kd) % n, rd * kd % n
+                            if ed not in beta:
+                                ds.append(ed)
+                            step = gcd(step, eb - beta.setdefault(ed, eb))
+    # s*1 fixes [e1], whose u is 1: it sifts as (s 0; 0 s)
+    scalars = tuple(s for s in range(1, n) if s in units and residue(s, 0, s) is None)
+    return transversal, units, beta, step, scalars
 
 
 def _subgroup(n: int, gens: Sequence[Mat], label: str) -> SubgroupG:
     """SubgroupG for reduced invertible generators, its order and scalars from the chain."""
-    transversal, beta, step = _stabilizer_chain(n, gens)
-
-    def has_scalar(s: int) -> bool:
-        # sift s*1: it takes e1 to z = s*e1, and u_z^-1 * s*1 must lie in Stab(e1);
-        # its second column adj(u_z) * s*e2 / det u_z is (-s*y0, s^2) / det u_z
-        u = transversal.get((s % n, 0))
-        if u is None:
-            return False
-        d = s * s * u[2] % n
-        return d in beta and (-s * u[0] * u[2] - beta[d]) % step == 0
-
-    scalars = tuple(s for s in range(1, n) if gcd(s, n) == 1 and has_scalar(s))
-    return SubgroupG(n, tuple(gens), len(transversal) * len(beta) * (n // step), scalars, label)
+    transversal, units, beta, step, scalars = _stabilizer_chain(n, gens)
+    order = len(transversal) * len(units) * len(beta) * (n // step)
+    return SubgroupG(n, tuple(gens), order, scalars, label)
 
 
 def generate_subgroup(n: int, gens: Sequence[Sequence[int]]) -> SubgroupG:
@@ -387,7 +427,7 @@ def det_image(G: SubgroupG) -> DetImage:
     determinants of the generators.
     """
     n = G.n
-    dets = {mat_det(g, n) for g in G.generator_mats()}
+    dets = {mat_det(g, n) for g in G.generators}
     residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
     return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
 

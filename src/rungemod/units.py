@@ -182,7 +182,7 @@ def _column_reps(G: SubgroupG) -> Tuple[TorsionIndex, ...]:
     content-1 classes are then the cusp pass's <G, -1>-orbits, by lines.
     """
     n = G.n
-    gens = [tuple(pow(mat_det(g, n), -1, n) * x % n for x in g) for g in G.generator_mats()]
+    gens = [tuple(pow(mat_det(g, n), -1, n) * x % n for x in g) for g in G.generators]
     if G.contains_scalars:
         _, _, orbits, lines_of = _cusp_data(G)
         reps = [_least_row(lines_of[o.members[0]], n, G.line_scalars(n)) for o in orbits]

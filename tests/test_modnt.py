@@ -104,6 +104,13 @@ def test_full_preset_matches_brute_force_mod5():
 @example((12, [(11, 0, 0, 11), (1, 0, 1, 1)]))
 # some scalars only: 5 has order 4 mod 13, so the scalars are 1, 5, 8 and 12
 @example((13, [(1, 1, 0, 1), (5, 0, 0, 5)]))
+# three prime factors: G*[e1] runs over lines mod 2, 3 and 5 at once
+@example((30, [(1, 1, 0, 1), (1, 0, 5, 1), (7, 0, 0, 1)]))
+# G*[e1] reaches lines (x, y) with 3 | x, keyed by x/y mod 9
+@example((9, [(2, 3, 0, 1), (0, 8, 1, 0)]))
+# Stab([e1]) = G: diag(3, 1) fills A, and Stab(e1) needs the conjugates of
+# (1 1; 0 2) by every t_a, not that element alone
+@example((7, [(3, 0, 0, 1), (1, 1, 0, 2)]))
 def test_chain_matches_closure_oracle(case):
     n, gens = case
     G = generate_subgroup(n, gens)
@@ -144,6 +151,45 @@ def test_preset_generators_generate_the_element_set(kind, p, n):
     assert G.elements == group_elements(G)
     assert all(described(*g) for g in G.elements)
     assert len(G.elements) == G.order
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 60))
+@example(30)
+@example(60)
+def test_line_key_is_a_point_of_p1(n):
+    # constant on each line {s*v}, and one key per point of P1(Z/n)
+    key = modnt._line_key(n)
+    units = [s for s in range(1, n) if gcd(s, n) == 1]
+    keys = set()
+    for x in range(n):
+        for y in range(n):
+            if gcd(x, y, n) == 1:
+                k = key(x, y)
+                assert all(key(s * x % n, s * y % n) == k for s in units)
+                keys.add(k)
+    points = n
+    for p in {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}:
+        points = points // p * (p + 1)
+    assert len(keys) == points
+
+
+@pytest.mark.parametrize("kind", ["nonsplit_normalizer", "full", "split_normalizer"])
+def test_17_cubed_presets_build_at_paper_scale(kind, monkeypatch):
+    # past the preset cap: the chain walks the 5202 lines of P1(Z/17^3), where
+    # a walk over the vectors of G*e1 ran out of memory on nonsplit:17^3
+    monkeypatch.setattr(modnt, "MAX_PRESET_MODULUS", 17 ** 3)
+    p, m = 17, 17 ** 3
+    phi = p ** 2 * (p - 1)
+    order = {
+        "nonsplit_normalizer": 2 * p ** 4 * (p * p - 1),
+        "full": m ** 4 // p ** 3 * (p - 1) * (p * p - 1),
+        "split_normalizer": 2 * phi * phi,
+    }[kind]
+    start = time.perf_counter()
+    G = preset_subgroup(kind, p, 3)
+    assert time.perf_counter() - start < 2.0
+    assert G.order == order and G.contains_minus_one
 
 
 def test_closure_invariants_random_products():
