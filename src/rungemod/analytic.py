@@ -731,10 +731,8 @@ def _abs_j_above_2500(tau: UpperHalfPoint, prec: int) -> RealInterval:
     return aj
 
 
-def verify_everysimple(
-    G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION
-) -> CheckReport:
-    """Certify (3/2)|j| >= |1/q_c| >= (1/2)|j| at the reduced point; G is not read."""
+def verify_everysimple(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> CheckReport:
+    """Certify (3/2)|j| >= |1/q_c| >= (1/2)|j| at the reduced point."""
 
     def attempt(prec: int) -> CheckReport:
         wp = prec + 32
@@ -890,7 +888,7 @@ _SWEEPS: Dict[str, Tuple[Callable[[random.Random], tuple], Callable[..., Tuple[C
     "cdplus": (_sample_cdplus, lambda tau, prec: (_cdplus_report(tau, prec),)),
     "siegel": (_sample_siegel, verify_siegel_bounds),
     "smallj": (_sample_smallj, lambda a, tau, prec: (_verify_smallj(a, tau, prec),)),
-    "everysimple": (_sample_everysimple, lambda tau, prec: (verify_everysimple(None, tau, prec),)),
+    "everysimple": (_sample_everysimple, lambda tau, prec: (verify_everysimple(tau, prec),)),
 }
 
 
@@ -939,7 +937,8 @@ def sweep_everysimple(
 ) -> SweepResult:
     """Random tau with |j| large, moved by a random small SL2(Z) word.
 
-    The check reads no field of the group, so `group` does not change the result.
+    `benchmarks/workloads.py` passes `group`; the check reads no field of it,
+    so it does not change the result.
     """
     return _sweep("everysimple", samples, seed, precision)
 

@@ -46,7 +46,7 @@ def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic for n < 3.3e24, fixed 15-base test beyond."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -279,6 +279,15 @@ def _max_with_one(iv: RealInterval) -> RealInterval:
 # ------------------------------------------------------------- level caps
 
 
+def _max_power(p: int, bound: Fraction) -> int:
+    """Largest n with p^n <= bound, or 0 when bound < p."""
+    n, pw = 0, p
+    while pw <= bound:
+        n += 1
+        pw *= p
+    return n
+
+
 @dataclass(frozen=True)
 class SplitCartanCap:
     """Level cap p^n <= kappa (1+h)^2 with a queryable max exponent."""
@@ -292,24 +301,12 @@ class SplitCartanCap:
         if p < 2:
             raise ValueError("p must be at least 2")
         if self.cap_exact is not None:
-            n, pw = 0, p
-            while pw <= self.cap_exact:
-                n += 1
-                pw *= p
-            return n
+            return _max_power(p, self.cap_exact)
 
         def attempt(prec: int) -> int:
             cap = self._cap_at(prec)
-            lo, hi = cap.lo_fraction(), cap.hi_fraction()
-            n_lo, pw = 0, p
-            while pw <= lo:
-                n_lo += 1
-                pw *= p
-            n_hi, pw = 0, p
-            while pw <= hi:
-                n_hi += 1
-                pw *= p
-            if n_lo != n_hi:
+            n_lo = _max_power(p, cap.lo_fraction())
+            if n_lo != _max_power(p, cap.hi_fraction()):
                 raise Indeterminate("cap interval straddles a power of %d" % p)
             return n_lo
 
@@ -329,19 +326,11 @@ def split_cartan_level_cap(h: HValue, precision: int = DEFAULT_PRECISION) -> Spl
             return RealInterval.from_fraction(exact, max(prec, _bits_of(exact) + 8))
 
         return SplitCartanCap(cap_at(precision), exact, note, cap_at)
-    if isinstance(h, RealInterval):
-        fixed = h
+    provider = (lambda prec: h) if isinstance(h, RealInterval) else h
 
-        def cap_at(prec: int) -> RealInterval:
-            one_plus = fixed.add_fraction(Fraction(1))
-            return one_plus.mul(one_plus).scale_fraction(KAPPA_SPLIT_CARTAN)
-
-    else:
-        provider = h
-
-        def cap_at(prec: int) -> RealInterval:
-            one_plus = provider(prec).add_fraction(Fraction(1))
-            return one_plus.mul(one_plus).scale_fraction(KAPPA_SPLIT_CARTAN)
+    def cap_at(prec: int) -> RealInterval:
+        one_plus = provider(prec).add_fraction(Fraction(1))
+        return one_plus.mul(one_plus).scale_fraction(KAPPA_SPLIT_CARTAN)
 
     return SplitCartanCap(cap_at(precision), None, note, cap_at)
 

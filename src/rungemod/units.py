@@ -6,7 +6,9 @@ scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.  A row of the divisor
 matrix sums them over one cusp orbit's lines {s*r}, s a scalar of G, as one
 table lookup F(a*r) = sum over s of the value at s*a*r per line rep r that
 the cusp pass in `cusps` kept; nothing here walks a cusp orbit again, and
-the column classes come from those lines too (see `_column_reps`).
+the column classes come from those lines too (see `_column_reps`).  The
+rank of the divisor matrix, the Runge minor S and the determinants of
+Cramer's rule all come from one fraction-free elimination, `_echelon`.
 """
 
 import functools
@@ -83,7 +85,7 @@ def ell(a: TorsionIndex) -> Fraction:
 
 
 @functools.lru_cache(maxsize=64)
-def _ell_table(n: int, lams: Tuple[int, ...] = (1,)) -> Tuple[int, ...]:
+def _ell_table(n: int, lams: Tuple[int, ...]) -> Tuple[int, ...]:
     # F(x) = the sum over lam in lams of 12*n^2*ell(lam*x/n), an exact integer, for x in [0, n);
     # lams are a group's `line_scalars` and the summand is even, so F is constant on each
     # orbit {+/-lam*x} and summed once per orbit
@@ -101,7 +103,8 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
     if a.n != n or c.n != n:
         raise ModulusMismatch(f"expected modulus {n}, got a mod {a.n}, cusp mod {c.n}")
     # only the first column of the lift enters the row-vector product
-    val = _ell_table(n)[(a.a1 * c.lift[0] + a.a2 * c.lift[2]) % n]
+    x = (a.a1 * c.lift[0] + a.a2 * c.lift[2]) % n
+    val = 6 * x * x - 6 * n * x + n * n
     if abs(val) > n * n:
         raise BoundViolated(f"|12 n^2 ell| = {abs(val)} exceeds n^2 = {n * n}")
     return val
@@ -224,69 +227,60 @@ def weighted_column_sums(M: DivisorMatrix) -> Tuple[int, ...]:
     )
 
 
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix by fraction-free elimination."""
+def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], int]:
+    """Pivot columns and signed last pivot of an integer matrix (Bareiss elimination).
+
+    The pivot columns are the first independent columns from the left.  The
+    last pivot is the minor on them and on the rows swapped to the top, so the
+    sign of the row swaps times it is det of the pivot-column minor when every
+    row holds a pivot; with no pivot it is 1.
+    """
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    row = 0
+    pivots: List[int] = []
+    sign = prev = 1
     for col in range(nc):
+        row = len(pivots)
         piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
         for r in range(row + 1, nr):
             for c in range(col + 1, nc):
                 # Bareiss step: the division is exact
                 m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
             m[r][col] = 0
         prev = m[row][col]
-        row += 1
-        rank += 1
-        if row == nr:
+        pivots.append(col)
+        if len(pivots) == nr:
             break
-    return rank
+    return tuple(pivots), sign * prev
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    a = [list(r) for r in rows]
-    k = len(a)
-    if any(len(r) != k for r in a):
+    """Exact determinant of a square integer matrix."""
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if k == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            swap = next((r for r in range(i + 1, k) if a[r][i] != 0), None)
-            if swap is None:
-                return 0
-            a[i], a[swap] = a[swap], a[i]
-            sign = -sign
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                a[r][c] = (a[i][i] * a[r][c] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
+    pivots, det = _echelon(rows)
+    return det if len(pivots) == len(rows) else 0
 
 
 def divisor_rank(M: DivisorMatrix) -> int:
     """Rank of the divisor matrix over the rationals."""
-    return _int_rank(M.entries)
+    return len(_echelon(M.entries)[0])
 
 
 def runge_vector(M: Sequence[Sequence[int]], A: int) -> Tuple[int, ...]:
     """Integer vector b with M*b componentwise positive and small l1 norm.
 
-    Scans columns left to right for the first nonsingular s x s minor S,
-    then sets b on those columns by b_k = sign(det S) * det(S with column k
-    replaced by all-ones), so that M*b = (|det S|, ..., |det S|).  Hadamard's
-    inequality gives l1(b) <= s^(s/2+1) * A^(s-1), checked exactly on squares.
+    Takes S, the s x s minor on the first s independent columns from the left,
+    and its determinant from one elimination, then sets b on those columns by
+    b_k = sign(det S) * det(S with column k replaced by all-ones), so that
+    M*b = (|det S|, ..., |det S|).  Hadamard's inequality gives
+    l1(b) <= s^(s/2+1) * A^(s-1), checked exactly on squares.
     """
     rows = [list(r) for r in M]
     s = len(rows)
@@ -298,19 +292,11 @@ def runge_vector(M: Sequence[Sequence[int]], A: int) -> Tuple[int, ...]:
     if A < 0 or any(abs(e) > A for r in rows for e in r):
         raise ValueError(f"matrix entries exceed the stated bound {A}")
 
-    chosen: List[int] = []
-    for j in range(t):
-        cand = chosen + [j]
-        sub = [[rows[i][k] for k in cand] for i in range(s)]
-        if _int_rank(sub) == len(cand):
-            chosen.append(j)
-            if len(chosen) == s:
-                break
+    chosen, d = _echelon(rows)
     if len(chosen) < s:
         raise RankDeficient(f"matrix has rank below its row count {s}")
 
-    S = [[rows[i][k] for k in chosen] for i in range(s)]
-    d = _int_det(S)
+    S = [[row[k] for k in chosen] for row in rows]
     sign = 1 if d > 0 else -1
     b = [0] * t
     for k in range(s):

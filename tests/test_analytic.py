@@ -550,10 +550,9 @@ def test_siegel_bounds_examples():
 
 
 def test_everysimple_examples():
-    G = preset_subgroup("split_normalizer", 5)
-    assert verify_everysimple(G, UpperHalfPoint(0, 5)).holds
-    assert verify_everysimple(G, UpperHalfPoint(0, 3)).holds
-    assert verify_everysimple(G, UpperHalfPoint(Fraction(3, 10), 4)).holds
+    assert verify_everysimple(UpperHalfPoint(0, 5)).holds
+    assert verify_everysimple(UpperHalfPoint(0, 3)).holds
+    assert verify_everysimple(UpperHalfPoint(Fraction(3, 10), 4)).holds
 
 
 def test_nearest_cusp_examples():

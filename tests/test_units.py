@@ -23,9 +23,9 @@ from rungemod.modnt import kernel_level_group, parse_group_text, preset_subgroup
 from rungemod.units import (
     CuspDivisor,
     TorsionIndex,
+    _echelon,
     _ell_table,
     _int_det,
-    _int_rank,
     bernoulli2,
     divisor_matrix,
     divisor_rank,
@@ -71,7 +71,7 @@ def test_ell_values():
 
 @pytest.mark.parametrize("n", range(2, 31))
 def test_ell_table_is_scaled_b2(n):
-    table = _ell_table(n)
+    table = _ell_table(n, (1,))
     assert len(table) == n
     for x in range(n):
         assert table[x] == 12 * n * n * ell(TorsionIndex(n, x, 1))
@@ -317,7 +317,32 @@ def test_int_det_matches_permutation_expansion(rows):
     )
 )
 def test_int_rank_matches_fraction_elimination(rows):
-    assert _int_rank(rows) == frac_rank(rows)
+    assert len(_echelon(rows)[0]) == frac_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(1, 6)).flatmap(
+            lambda rc: st.lists(
+                st.lists(st.integers(-3, 3), min_size=rc[1], max_size=rc[1]),
+                min_size=rc[0],
+                max_size=rc[0],
+            )
+        )
+    )
+)
+def test_echelon_pivots_are_greedy_and_last_pivot_is_the_minor(rows):
+    pivots, last = _echelon(rows)
+    ranks = [frac_rank([r[:j] for r in rows]) for j in range(len(rows[0]) + 1)]
+    assert list(pivots) == [j for j in range(len(rows[0])) if ranks[j + 1] > ranks[j]]
+    minors = [perm_det([[rows[i][k] for k in pivots] for i in sub])
+              for sub in itertools.combinations(range(len(rows)), len(pivots))]
+    if len(pivots) == len(rows):
+        assert last == minors[0]
+    else:
+        # rank-deficient: the last pivot is, up to sign, the minor on the rows swapped to the top
+        assert last != 0 and abs(last) in map(abs, minors)
 
 
 def test_runge_vector_examples():
@@ -352,7 +377,7 @@ def test_runge_vector_random_contract():
         t = rng.randint(s, 8)
         A = rng.randint(1, 10)
         M = [[rng.randint(-A, A) for _ in range(t)] for _ in range(s)]
-        if _int_rank(M) < s:
+        if len(_echelon(M)[0]) < s:
             continue
         done += 1
         b = runge_vector(M, A)
