@@ -1,12 +1,16 @@
 """Certified evaluation of j and Siegel functions over the upper half plane.
 
-All complex arithmetic is midpoint-radius (ErrorBall) on raw mpmath.libmp
-mantissa-exponent tuples; real enclosures are endpoint intervals with
-floor/ceiling rounding.  Library kernels (exp, log, pi) are not proven
-correctly rounded, so every kernel output is padded by a 32-ulp cushion
-before it enters an enclosure.  Verification routines return certified
-verdicts and escalate precision by doubling when a comparison is too
-close to call at the current width.
+Complex arithmetic is midpoint-radius (ErrorBall) on raw mpmath.libmp
+mantissa-exponent tuples, except in the q-series loops of eval_j and
+eval_siegel.  Those run on fixed-point balls (re, im, rad) of ints in units
+of 2^-w, w >= wp + 16, with the rounding error counted in ulps: sums and
+integer multiples are exact, and a product floors its parts and its radius
+((|xr|+|xi|) ry + (|yr|+|yi|) rx + rx ry) 2^-w, then adds 3 ulp.  Real
+enclosures are endpoint intervals with floor/ceiling rounding.  Library
+kernels (exp, log, pi) are not proven correctly rounded, so every kernel
+output is padded by a 32-ulp cushion before it enters an enclosure.
+Verification routines return certified verdicts and escalate precision by
+doubling when a comparison is too close to call at the current width.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from mpmath.libmp import (
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
+    to_fixed,
     to_float,
 )
 
@@ -52,6 +57,7 @@ from .units import TorsionIndex, bernoulli2, ell
 
 Mat = Tuple[int, int, int, int]
 MpfT = tuple
+FixBall = Tuple[int, int, int]  # (re, im, rad) in units of 2^-w
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -472,43 +478,70 @@ def _dyadic_ceil(x: Fraction) -> Fraction:
     return Fraction(-((-x.numerator << s) // x.denominator), 1 << s)
 
 
+def _ceil65(man: int, exp: int) -> Tuple[int, int]:
+    """(k, e) with k 2^e = _dyadic_ceil(man 2^exp) and 2^64 <= k <= 2^65, for man > 0."""
+    sh = man.bit_length() - 65
+    return (-((-man) >> sh) if sh > 0 else man << -sh), exp + sh
+
+
 def _tail_cut_e4(u_hi: Fraction, target: Fraction) -> Tuple[int, Fraction]:
     """Smallest m with 480 (m+1)^3 u^{m+1} <= target (valid for u <= 1/16).
 
-    u and each running power are rounded up to 64-bit dyadics, so the cut
-    costs O(m) short products.  The bound is increasing in u and every
+    u and each running power pm 2^pe are rounded up to 65-bit dyadics, so the
+    cut costs O(m) short int products.  The bound is increasing in u and every
     rounding goes upward, so the returned tail still bounds the true one.
     """
     u = _dyadic_ceil(u_hi)
+    um, ue = _ceil65(u.numerator, 1 - u.denominator.bit_length())
     m = 1
-    pw = _dyadic_ceil(u * u)  # >= u^{m+1}
-    while 480 * (m + 1) ** 3 * pw > target:
+    pm, pe = _ceil65(um * um, 2 * ue)  # >= u^{m+1}
+    while 480 * (m + 1) ** 3 * pm * target.denominator > target.numerator << -pe:
         m += 1
-        pw = _dyadic_ceil(pw * u)
+        pm, pe = _ceil65(pm * um, pe + ue)
         if m > 200000:
             raise Indeterminate("series cut not reachable; |q| too close to 1")
-    return m, 480 * (m + 1) ** 3 * pw
+    return m, Fraction(480 * (m + 1) ** 3 * pm, 1 << -pe)
 
 
 def _tail_cut_geometric(u_hi: Fraction, coeff: Fraction, target: Fraction) -> Tuple[int, Fraction]:
     """Smallest T with coeff * u^T / (1-u) <= target, requiring u^T <= 1/10.
 
-    u and each running power are rounded up to 64-bit dyadics.  Both
-    conditions and the bound are increasing in u < 1 and every rounding
-    goes upward, so the returned tail still bounds the true one.
+    u and each running power pm 2^pe are rounded up to 65-bit dyadics.  Both
+    conditions and the bound are increasing in u < 1 and every rounding goes
+    upward, so the returned tail still bounds the true one.
     """
     u = _dyadic_ceil(u_hi)
     if u >= 1:
         raise Indeterminate("|q| enclosure reaches 1")
-    one_minus = 1 - u
+    um, ue = _ceil65(u.numerator, 1 - u.denominator.bit_length())
+    dm = (1 << -ue) - um  # 1 - u = dm 2^ue, and pe <= ue as the powers never grow
+    lhs = coeff.numerator * target.denominator
+    rhs = target.numerator * coeff.denominator * dm
     T = 1
-    pw = u  # >= u^T
-    while pw > Fraction(1, 10) or coeff * pw / one_minus > target:
+    pm, pe = um, ue  # >= u^T
+    while 10 * pm > 1 << -pe or lhs * pm > rhs << (ue - pe):
         T += 1
-        pw = _dyadic_ceil(pw * u)
+        pm, pe = _ceil65(pm * um, pe + ue)
         if T > 200000:
             raise Indeterminate("product cut not reachable; |q| too close to 1")
-    return T, coeff * pw / one_minus
+    return T, Fraction(coeff.numerator * pm, coeff.denominator * (dm << (ue - pe)))
+
+
+def _fx(b: ErrorBall, w: int) -> FixBall:
+    """b as a fixed-point ball: parts floored, radius rounded up, plus 3 ulp."""
+    return to_fixed(b.re, w), to_fixed(b.im, w), 3 - to_fixed(mpf_neg(b.rad), w)
+
+
+def _fx_ball(x: FixBall, w: int, prec: int) -> ErrorBall:
+    """x as an ErrorBall: parts exact, radius rounded up."""
+    return ErrorBall(from_man_exp(x[0], -w), from_man_exp(x[1], -w), from_man_exp(x[2], -w, _RAD_PREC, "u"), prec)
+
+
+def _fx_mul(x: FixBall, y: FixBall, w: int) -> FixBall:
+    """x y with floored parts: 1 ulp covers the floored radius, 2 the parts (< sqrt 2)."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    rad = ((abs(xr) + abs(xi)) * ye + (abs(yr) + abs(yi)) * xe + xe * ye >> w) + 3
+    return (xr * yr - xi * yi) >> w, (xr * yi + xi * yr) >> w, rad
 
 
 def eval_j(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall:
@@ -516,7 +549,9 @@ def eval_j(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall
 
     j = A^3 / D with A = 1 + 240 sum sigma_3(n) q^n and D = q prod (1-q^n)^24;
     the point is first reduced so |q| <= e^{-pi sqrt 3} and tails are cut
-    against 2^-(precision+16).
+    against 2^-(precision+16).  One loop over the fixed-point powers q^n
+    sums A and multiplies out the product; the 24th and 3rd powers and the
+    division, where j can be large, run on ErrorBall.
     """
     red, _ = reduce_fundamental(tau)
     wp = precision + 32
@@ -527,25 +562,23 @@ def eval_j(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall
     target = Fraction(1, 2 ** (precision + 16))
 
     m, a_tail = _tail_cut_e4(u_hi, target)
-    sig3 = _sigma3_prefix(m)
-    acc = ErrorBall.from_int(1, wp)
-    qpow = q
-    for n in range(1, m + 1):
-        acc = acc.add(qpow.mul_int(240 * sig3[n]))
-        if n < m:
-            qpow = qpow.mul(q)
-    a_ball = acc.add_error(_fraction_to_mpf(a_tail, _RAD_PREC, "u"))
-
     T, eps = _tail_cut_geometric(u_hi, Fraction(264, 10), target)
-    one = ErrorBall.from_int(1, wp)
-    prod = one
-    qpow = q
-    for n in range(1, T + 1):
-        prod = prod.mul(one.sub(qpow))
-        if n < T:
-            qpow = qpow.mul(q)
-    d_ball = q.mul(prod.pow_int(24))
-    # the discarded factors lie in exp(w), |w| <= eps
+    sig3 = _sigma3_prefix(m)
+    # 4 more bits per bit of m absorb the factors 240 sigma_3(n) < 2^9 n^3 on each power's ulps
+    w = wp + 16 + 4 * m.bit_length()
+    one = 1 << w
+    qf = qpow = _fx(q, w)
+    acc, prod = (one, 0, 0), (one, 0, 0)
+    for n in range(1, max(m, T) + 1):
+        if n <= m:
+            k = 240 * sig3[n]
+            acc = (acc[0] + k * qpow[0], acc[1] + k * qpow[1], acc[2] + k * qpow[2])
+        if n <= T:
+            prod = _fx_mul(prod, (one - qpow[0], -qpow[1], qpow[2]), w)
+        qpow = _fx_mul(qpow, qf, w)
+    a_ball = _fx_ball(acc, w, wp).add_error(_fraction_to_mpf(a_tail, _RAD_PREC, "u"))
+    d_ball = q.mul(_fx_ball(prod, w, wp).pow_int(24))
+    # the discarded factors lie in exp(v), |v| <= eps
     slack = _fraction_to_mpf(eps * (1 + eps), _RAD_PREC, "u")
     d_ball = d_ball.mul(ErrorBall(fone, fzero, slack, wp))
 
@@ -557,8 +590,12 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
 
     Product form: -q^{B2(a1/n)/2} e(a2(a1/n-1)/2) (1-q_z)
     prod_{n>=1} (1-q^n q_z)(1-q^n/q_z), truncated with a certified tail.
+    The product runs on fixed-point balls.  Its running powers q^k q_z and
+    q^k/q_z start from ErrorBall products and step by q, so they stay <= 1
+    and the fixed format never meets 1/q_z, which can reach e^{2 pi y a1/n}.
     """
     wp = precision + 32
+    w = wp + 16
     n = a.n
     alpha = Fraction(a.a1, n)
     a2 = Fraction(a.a2, n)
@@ -566,8 +603,8 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
 
     u_hi = tau.abs_q_interval(wp).hi_fraction()
     target = Fraction(1, 2 ** (precision + 16))
-    # factors beyond T contribute exp(w) with
-    # |w| <= 1.1 (u^{T+1} + u^T)/(1-u) <= 2.2 u^T/(1-u), each |z| <= u^T <= 1/10
+    # factors beyond T contribute exp(v) with
+    # |v| <= 1.1 (u^{T+1} + u^T)/(1-u) <= 2.2 u^T/(1-u), each |z| <= u^T <= 1/10
     T, eps = _tail_cut_geometric(u_hi, Fraction(22, 10), target)
 
     q = _exp_2pii(x, y, wp)
@@ -576,16 +613,15 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
     qz = _exp_2pii(alpha * x + a2, alpha * y, wp)
     qz_inv = _exp_2pii(-(alpha * x + a2), -alpha * y, wp)
 
-    one = ErrorBall.from_int(1, wp)
-    prod = one.sub(qz)
-    qpow = q
-    for k in range(1, T + 1):
-        prod = prod.mul(one.sub(qpow.mul(qz)))
-        prod = prod.mul(one.sub(qpow.mul(qz_inv)))
-        if k < T:
-            qpow = qpow.mul(q)
+    one = 1 << w
+    qf, up, down, z = _fx(q, w), _fx(q.mul(qz), w), _fx(q.mul(qz_inv), w), _fx(qz, w)
+    prod = (one - z[0], -z[1], z[2])
+    for _ in range(T):
+        prod = _fx_mul(prod, (one - up[0], -up[1], up[2]), w)
+        prod = _fx_mul(prod, (one - down[0], -down[1], down[2]), w)
+        up, down = _fx_mul(up, qf, w), _fx_mul(down, qf, w)
     slack = _fraction_to_mpf(eps * (1 + eps), _RAD_PREC, "u")
-    prod = prod.mul(ErrorBall(fone, fzero, slack, wp))
+    prod = _fx_ball(prod, w, wp).mul(ErrorBall(fone, fzero, slack, wp))
 
     return pref.mul(phase).mul(prod).neg()
 

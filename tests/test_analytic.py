@@ -1,6 +1,7 @@
 """Tests for certified j / Siegel evaluation and the inequality checks.
 
-Oracles: exact Fraction arithmetic for field operations, mpmath theta
+Oracles: exact Fraction arithmetic for field operations and the
+fixed-point kernel, the Fraction tail cuts for the int ones, mpmath theta
 functions at high working precision for j, and a direct high-precision
 product for |g_a|.  Enclosures must contain the oracle values; verdicts
 on the inequalities must certify without violations.
@@ -14,6 +15,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 import rungemod.analytic as analytic
 from rungemod.analytic import (
@@ -212,6 +214,154 @@ def test_ball_pow_int_exact():
         zr, zi = zr * re - zi * im, zr * im + zi * re
     assert z.pow_int(5).contains_point(zr, zi)
     assert z.pow_int(0).contains_point(Fraction(1), Fraction(0))
+
+
+# ------------------------------------------------------ fixed-point kernel
+
+
+def covers(rad: Fraction, prop: Fraction, dre: Fraction, dim: Fraction) -> bool:
+    """Exactly: rad >= prop + |dre + i dim|."""
+    slack = rad - prop
+    return slack >= 0 and dre * dre + dim * dim <= slack * slack
+
+
+def abs_upper(re: int, im: int) -> Fraction:
+    """An upper bound for |re + i im| that exceeds it by at most 2^-64."""
+    return Fraction(math.isqrt((re * re + im * im) << 128) + 1, 1 << 64)
+
+
+def fixed_pairs():
+    """(w, x, y) with w in {64, 160, 1056} and x, y fixed-point balls with
+    parts of both signs up to 4 in modulus and radii from 0 up to 2."""
+
+    def balls(w):
+        part = st.integers(-(1 << (w + 2)), 1 << (w + 2))
+        ball = st.tuples(part, part, st.integers(0, 1 << (w + 1)))
+        return st.tuples(st.just(w), ball, ball)
+
+    return st.sampled_from([64, 160, 1056]).flatmap(balls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fixed_pairs())
+def test_fixed_point_product_encloses_exact(case):
+    w, (xr, xi, xe), (yr, yi, ye) = case
+    zr, zi, zrad = analytic._fx_mul((xr, xi, xe), (yr, yi, ye), w)
+    # everything in ulps of 2^-w: the exact product of the midpoints is
+    # (xr + i xi)(yr + i yi) / 2^w, and the propagated radius is
+    # (|x| ry + |y| rx + rx ry) / 2^w
+    dre = Fraction(xr * yr - xi * yi, 1 << w) - zr
+    dim = Fraction(xr * yi + xi * yr, 1 << w) - zi
+    prop = (abs_upper(xr, xi) * ye + abs_upper(yr, yi) * xe + xe * ye) / (1 << w)
+    assert covers(Fraction(zrad), prop, dre, dim)
+
+
+mpf_values = st.builds(from_man_exp, st.integers(-(1 << 70), 1 << 70), st.integers(-1150, 2))
+mpf_radii = st.one_of(
+    st.just(analytic.fzero), st.builds(from_man_exp, st.integers(1, 1 << 30), st.integers(-1150, -10))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([64, 160, 1056]), mpf_values, mpf_values, mpf_radii)
+def test_fixed_point_round_trip_encloses(w, re, im, rad):
+    exact = analytic._mpf_to_fraction
+    ball = ErrorBall(re, im, rad, w)
+    fr, fi, frad = fixed = analytic._fx(ball, w)
+    unit = Fraction(1, 1 << w)
+    assert covers(frad * unit, exact(rad), exact(re) - fr * unit, exact(im) - fi * unit)
+    back = analytic._fx_ball(fixed, w, w)
+    assert (exact(back.re), exact(back.im)) == (fr * unit, fi * unit)
+    assert exact(back.rad) >= frad * unit
+
+
+# The loops of eval_j and eval_siegel are checked against the same ball
+# recurrences in exact arithmetic.  Ball products are isotone under
+# inclusion, so each fixed-point ball must contain the exact one: its radius
+# covers the exact radius plus the distance between the midpoints.
+
+
+def spy(monkeypatch, *names):
+    """Record (name, args, result) of each call to these analytic helpers."""
+    calls = []
+    for name in names:
+
+        def record(*args, _name=name, _real=getattr(analytic, name)):
+            calls.append((_name, args, _real(*args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(analytic, name, record)
+    return calls
+
+
+def exact_ball(x, w: int):
+    return tuple(Fraction(v, 1 << w) for v in x)
+
+
+def exact_mul(x, y):
+    """Ball product with an exact midpoint and |.| bounded below, so its radius
+    is at most the one exact ball arithmetic gives."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+
+    def abs_lower(re, im):
+        s = re * re + im * im
+        return Fraction(math.isqrt((s.numerator << 128) // s.denominator), 1 << 64)
+
+    return xr * yr - xi * yi, xr * yi + xi * yr, abs_lower(xr, xi) * ye + abs_lower(yr, yi) * xe + xe * ye
+
+
+def one_minus(x):
+    return 1 - x[0], -x[1], x[2]
+
+
+def assert_contains(fixed, ball, w: int):
+    fr, fi, frad = exact_ball(fixed, w)
+    assert covers(frad, ball[2], ball[0] - fr, ball[1] - fi)
+
+
+@pytest.mark.parametrize("x, y", [(Fraction(-1, 2), Fraction(8661, 10000)), (Fraction(3, 10), Fraction(13, 10))])
+def test_j_loop_contains_exact_ball_series(monkeypatch, x, y):
+    calls = spy(monkeypatch, "_fx", "_fx_ball", "_tail_cut_e4", "_tail_cut_geometric")
+    eval_j(UpperHalfPoint(x, y), precision=128)
+    [(_, (_, w), qf)] = [c for c in calls if c[0] == "_fx"]
+    acc, prod = [c[1][0] for c in calls if c[0] == "_fx_ball"]
+    [m], [T] = [[c[2][0] for c in calls if c[0] == name] for name in ("_tail_cut_e4", "_tail_cut_geometric")]
+    sig3 = _sigma3_prefix(m)
+    q = qpow = exact_ball(qf, w)
+    a_sum, p_prod = (Fraction(1), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))
+    for n in range(1, max(m, T) + 1):
+        if n <= m:
+            k = 240 * sig3[n]
+            a_sum = tuple(s + k * v for s, v in zip(a_sum, qpow))
+        if n <= T:
+            p_prod = exact_mul(p_prod, one_minus(qpow))
+        qpow = exact_mul(qpow, q)
+    assert_contains(acc, a_sum, w)
+    assert_contains(prod, p_prod, w)
+
+
+@pytest.mark.parametrize(
+    "a, x, y",
+    [
+        (TorsionIndex(13, 12, 5), Fraction(37, 100), Fraction(9, 10)),
+        (TorsionIndex(13, 1, 5), Fraction(37, 100), Fraction(1)),
+        (TorsionIndex(7, 2, 3), Fraction(-1, 5), Fraction(1)),
+    ],
+)
+def test_siegel_loop_contains_exact_ball_product(monkeypatch, a, x, y):
+    calls = spy(monkeypatch, "_fx", "_fx_ball", "_tail_cut_geometric")
+    eval_siegel(a, UpperHalfPoint(x, y), precision=128)
+    # _fx is applied to q, q q_z, q / q_z and q_z, in that order
+    fx = [c for c in calls if c[0] == "_fx"]
+    w = fx[0][1][1]
+    q, up, down, z = [exact_ball(c[2], w) for c in fx]
+    [(_, (prod, _, _), _)] = [c for c in calls if c[0] == "_fx_ball"]
+    [T] = [c[2][0] for c in calls if c[0] == "_tail_cut_geometric"]
+    p_prod = one_minus(z)
+    for _ in range(T):
+        p_prod = exact_mul(exact_mul(p_prod, one_minus(up)), one_minus(down))
+        up, down = exact_mul(up, q), exact_mul(down, q)
+    assert_contains(prod, p_prod, w)
 
 
 def test_exp_2pii_special_points():
@@ -450,6 +600,54 @@ def test_geometric_cut_rejects_u_rounding_to_one():
         _tail_cut_geometric(1 - Fraction(1, 2 ** 80), Fraction(22, 10), Fraction(1, 2 ** 144))
 
 
+def fraction_cut_e4(u_hi: Fraction, target: Fraction):
+    """_tail_cut_e4 as it was in Fraction arithmetic, kept as an oracle."""
+    u = _dyadic_ceil(u_hi)
+    m = 1
+    pw = _dyadic_ceil(u * u)
+    while 480 * (m + 1) ** 3 * pw > target:
+        m += 1
+        pw = _dyadic_ceil(pw * u)
+    return m, 480 * (m + 1) ** 3 * pw
+
+
+def fraction_cut_geometric(u_hi: Fraction, coeff: Fraction, target: Fraction):
+    """_tail_cut_geometric as it was in Fraction arithmetic, kept as an oracle."""
+    u = _dyadic_ceil(u_hi)
+    one_minus = 1 - u
+    T = 1
+    pw = u
+    while pw > Fraction(1, 10) or coeff * pw / one_minus > target:
+        T += 1
+        pw = _dyadic_ceil(pw * u)
+    return T, coeff * pw / one_minus
+
+
+def dyadics(low_bits: int, top: Fraction):
+    """Dyadic k / 2^e in (0, top], e from low_bits to 1100."""
+    return st.integers(low_bits, 1100).flatmap(
+        lambda e: st.integers(1, int(top * 2 ** e)).map(lambda k: Fraction(k, 2 ** e))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadics(5, Fraction(1, 32)), st.integers(128, 1024))
+def test_int_e4_cut_is_the_fraction_cut(u, prec):
+    target = Fraction(1, 2 ** (prec + 16))
+    assert _tail_cut_e4(u, target) == fraction_cut_e4(u, target)
+
+
+# u <= 15/16 keeps the oracle under 12000 steps at 1024 bits
+@settings(max_examples=150, deadline=None)
+@given(
+    dyadics(4, Fraction(15, 16)), st.sampled_from([Fraction(264, 10), Fraction(22, 10)]), st.integers(128, 1024)
+)
+def test_int_geometric_cut_is_the_fraction_cut(u, coeff, prec):
+    # target 1 also reaches the u^T <= 1/10 condition
+    for target in (Fraction(1, 2 ** (prec + 16)), Fraction(1)):
+        assert _tail_cut_geometric(u, coeff, target) == fraction_cut_geometric(u, coeff, target)
+
+
 def test_siegel_half_example():
     # a = (0, 1/2) at 10i: log|g| = (1/12) log|q| + log 2 up to 3|q|
     # 3|q| = 3 e^{-20 pi} = 1.55e-27, so the comparison must stay exact
@@ -502,6 +700,36 @@ def test_siegel_matches_oracle_at_1024_bits():
             g = siegel_oracle(a, re, im, terms)
             oracle = ErrorBall(g.real._mpf_, g.imag._mpf_, (mp.mpf(2) ** -1100)._mpf_, 1200)
         assert ball.intersects(oracle), (a, re, im)
+
+
+@pytest.mark.parametrize("prec", [128, 1024])
+def test_siegel_at_the_low_end_of_smallj(prec):
+    # Im tau = 3/10 is the lowest smallj samples, and a1/n = 12/13 is the
+    # largest, so |1/q_z| = e^{2 pi (3/10)(12/13)} is the largest it meets there
+    a = TorsionIndex(13, 12, 5)
+    y = Fraction(3, 10)
+    # factors past `terms` move g by a relative 2.2 |q|^terms < 2^-(prec+100)
+    terms = math.ceil((prec + 100) * math.log(2) / (2 * math.pi * y)) + 2
+    for x in (Fraction(0), Fraction(-1, 2), Fraction(37, 100)):
+        ball = eval_siegel(a, UpperHalfPoint(x, y), precision=prec)
+        assert ball.radius_float() < 2.0 ** -(prec - 24)
+        with mp.workprec(prec + 100):
+            g = siegel_oracle(a, x, y, terms)
+            oracle = ErrorBall(g.real._mpf_, g.imag._mpf_, (mp.mpf(2) ** -(prec + 60))._mpf_, prec + 100)
+        assert ball.intersects(oracle), (x, prec)
+
+
+def test_siegel_nested_precision():
+    rng = random.Random(78)
+    for _ in range(200):
+        n = rng.randrange(2, 14)
+        a1, a2 = rng.randrange(n), rng.randrange(1, n)
+        x, y = Fraction(rng.randrange(-500, 500), 1000), Fraction(rng.randrange(300, 3001), 1000)
+        tau = UpperHalfPoint(x, y)
+        b1 = eval_siegel(TorsionIndex(n, a1, a2), tau, precision=128)
+        b2 = eval_siegel(TorsionIndex(n, a1, a2), tau, precision=256)
+        assert b2.radius_float() < b1.radius_float()
+        assert b1.intersects(b2)
 
 
 def test_siegel_translation_consistency():
