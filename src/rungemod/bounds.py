@@ -245,11 +245,13 @@ def bound_tspto(p: int, precision: int = DEFAULT_PRECISION) -> BoundReport:
     )
 
 
-def pellarin_degree(d: int, h: HValue, precision: int = DEFAULT_PRECISION) -> RealInterval:
+def pellarin_degree(d: int, h: Union[int, Fraction, RealInterval],
+                    precision: int = DEFAULT_PRECISION) -> RealInterval:
     """Isogeny degree cap 10^82 d^4 max{1, log d}^2 (1 + h)^2."""
     if d < 1:
         raise ValueError("field degree must be at least 1")
     lead = Fraction(10) ** 82 * d ** 4
+    h_iv = h
     if isinstance(h, (int, Fraction)):
         h = Fraction(h)
         if h < 0:
@@ -259,8 +261,6 @@ def pellarin_degree(d: int, h: HValue, precision: int = DEFAULT_PRECISION) -> Re
             exact = lead * (1 + h) ** 2
             return RealInterval.from_fraction(exact, max(precision, _bits_of(exact) + 8))
         h_iv = RealInterval.from_fraction(h, precision)
-    else:
-        h_iv = _as_interval(h, precision)
     one_plus = h_iv.add_fraction(Fraction(1))
     logd = RealInterval.from_int(d, precision).log()
     maxed = _max_with_one(logd)

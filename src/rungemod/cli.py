@@ -212,30 +212,28 @@ def cmd_runge_unit(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
-    precision = _resolve_precision(args.precision)
     if args.theorem == "tspto":
         if args.p is None:
             raise ValueError("--theorem tspto requires --p")
-        rep = bound_tspto(int(args.p), precision)
+        rep = bound_tspto(int(args.p), args.precision)
     elif args.theorem == "th1":
         if not args.group:
             raise ValueError("--theorem th1 requires --group")
-        rep = bound_th1(_load_group(args.group), precision)
+        rep = bound_th1(_load_group(args.group), args.precision)
     else:
         if not args.group:
             raise ValueError("--theorem tbo requires --group")
         G = _load_group(args.group)
-        r = calR(G.n, _parse_primes(args.finite_primes), precision)
-        rep = bound_tbo(args.s, G.order, G.n, r, via_g=True, precision=precision)
-    _emit(_bound_payload(rep, precision), args.format, _bound_text(rep), out)
+        r = calR(G.n, _parse_primes(args.finite_primes), args.precision)
+        rep = bound_tbo(args.s, G.order, G.n, r, via_g=True, precision=args.precision)
+    _emit(_bound_payload(rep, args.precision), args.format, _bound_text(rep), out)
     return 0
 
 
 def cmd_verify_analytic(args, out) -> int:
-    precision = _resolve_precision(args.precision)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    results = run_all_sweeps(samples=args.samples, seed=args.seed, precision=precision)
+    results = run_all_sweeps(samples=args.samples, seed=args.seed, precision=args.precision)
     checked = sum(r.checked for r in results)
     holds = sum(r.holds for r in results)
     violations = sum(r.violations for r in results)
@@ -246,7 +244,7 @@ def cmd_verify_analytic(args, out) -> int:
         "command": "verify-analytic",
         "samples": args.samples,
         "seed": args.seed,
-        "precision": precision,
+        "precision": args.precision,
         "checked": checked,
         "holds": holds,
         "violations": violations,
@@ -280,13 +278,12 @@ def _serre_payload(rep) -> Dict:
 
 
 def cmd_serre_check(args, out) -> int:
-    precision = _resolve_precision(args.precision)
     ps = [int(tok) for tok in str(args.p).split(",")]
     j = int(args.j)
-    reports = [serre_check(p, j, precision) for p in ps]
+    reports = [serre_check(p, j, args.precision) for p in ps]
     three = None
     if len(ps) == 3 and 11 <= ps[0] < ps[1] < ps[2]:
-        t = three_prime_check(ps[0], ps[1], ps[2], precision)
+        t = three_prime_check(ps[0], ps[1], ps[2], args.precision)
         three = {
             "p": t.p,
             "q": t.q,
@@ -297,7 +294,7 @@ def cmd_serre_check(args, out) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "serre-check",
-        "precision": precision,
+        "precision": args.precision,
         "reports": [_serre_payload(r) for r in reports],
         "three_prime": three,
     }
@@ -374,13 +371,12 @@ def _selftest_checks(precision: int) -> List[Tuple[str, bool, str]]:
 
 
 def cmd_selftest(args, out) -> int:
-    precision = _resolve_precision(args.precision)
-    checks = _selftest_checks(precision)
+    checks = _selftest_checks(args.precision)
     all_ok = all(ok for _, ok, _ in checks)
     payload = {
         "schema": SCHEMA,
         "command": "selftest",
-        "precision": precision,
+        "precision": args.precision,
         "passed": all_ok,
         "checks": [
             {"name": name, "passed": ok, "detail": detail} for name, ok, detail in checks

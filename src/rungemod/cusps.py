@@ -7,9 +7,12 @@ from one breadth-first pass under the generators of G over the lines {s*w}
 of the classes w under the scalars s of G, which records the det of a word
 reaching each class in one map shared by all orbits; that map, with a small
 one from (orbit, det) to cusp, is the only per-class structure, and seeds
-come from a lazy scan that stops when every class is seen.  Widths and the
-index in SL2 follow by counting, so no element set is read.  The divisor-
-matrix rows sum over the pass's line reps.
+come from a lazy scan that stops when every class is seen.  The cusps of
+an orbit are the cosets of det(Stab(seed)) in det G; widths follow from
+the orbit's size by orbit-stabilizer, and each cusp's rep from one more
+scan in the seed order that stops when every cusp has one, so no element
+set is read and no orbit is walked twice.  The divisor-matrix rows sum
+over the pass's line reps.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import exp, gcd, log
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -39,11 +42,6 @@ def _classes(n: int) -> Iterator[Vec]:
     # each class by its lex-smaller member: x <= n/2, and y halved where x = -x
     return ((x, y) for x in range(n // 2 + 1) for y in range(n)
             if gcd(x, y, n) == 1 and not (x == -x % n and y > -y % n))
-
-
-def primitive_classes(n: int) -> List[Vec]:
-    """All +/- classes of primitive vectors mod n, sorted: the list form of `_classes`."""
-    return list(_classes(n))
 
 
 def _orbit_seeds(n: int, seen: Dict[Vec, int]) -> Iterator[Vec]:
@@ -188,63 +186,60 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     map of codes k*N + t: the pass's only per-class structure.  The ratios
     generate S = det(Stab(seed)), and Gamma = <G, -1> meet SL2 is the kernel of
     det on <G, -1>, so two classes of the orbit lie in one cusp iff their
-    t-values lie in one coset of S; so a code names its cusp.  A cusp c whose
+    t-values lie in one coset of S in D = det G; so a code names its cusp, and
+    the orbit holds |D|/|S| cusps, which <G, -1> permutes transitively.  A line
+    never folds (lam*w = +/-w forces lam = +/-1), so the orbit holds
+    len(lines)*|lams| classes, |S|/|D| of them in each cusp.  A cusp c whose
     classes hold |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c|
     matrices of SL2 taking e1 into V_c are Gamma*lift*U, and Gamma meets
-    lift*U*lift^-1 in N/width elements.  Each cusp maps to its orbit's line
-    reps; `orbit_classes` fills them out.
+    lift*U*lift^-1 in N/width elements.  One scan over (1, 0), then the sorted
+    classes, gives each cusp the first class it meets as rep: (1, 0) for its
+    own cusp, the least class for every other.  Each cusp maps to its orbit's
+    line reps; `orbit_classes` fills them out.
     """
     n = G.n
     one = (1 % n, 0)
     lams = G.line_scalars(n)
+    dets = sorted(det_image(G).residues)
     index = sl2_index(G)
     gamma_order = sl2_order(n) // index
     signs = 1 if n == 2 else 2  # vectors per +/- class: v = -v only mod 2
 
-    def seed_order(c: CuspClass) -> Tuple[bool, Vec]:
-        return c.rep != one, c.rep
-
     codes: Dict[Vec, int] = {}
-    cusp_of: Dict[int, CuspClass] = {}
-    orbits: List[CuspOrbit] = []
-    lines_of: Dict[CuspClass, List[Vec]] = {}
-
+    key_of: Dict[int, int] = {}  # code k*N + t -> k*N + the least t' in t*S
+    walks: List[Tuple[List[Vec], int]] = []
     for seed in _orbit_seeds(n, codes):
-        start, base = len(codes), len(orbits) * n
+        base = len(walks) * n
         lines, ratios = _walk_lines(n, G.generators, lams, seed, codes, base)
         stab_dets = generated_orbit(1, ratios, lambda r, s: r * s % n)
+        for d in dets:  # ascending, so d is the least of its coset when first met
+            if base + d not in key_of:
+                key_of.update((base + d * s % n, base + d) for s in stab_dets)
+        width, rem = divmod(n * len(lines) * len(lams) * len(stab_dets) * signs,
+                            len(dets) * gamma_order)
+        if rem or n % width:
+            raise BoundViolated(f"width of cusp {seed} of {G.label} is not a divisor of {n}")
+        walks.append((lines, width))
 
-        # the orbit's classes are the map's last block; the seed, t = 1, opens coset 0
-        # and stays its rep: (1, 0), or else the least class of its orbit
-        coset_of, counts, reps = dict.fromkeys(stab_dets, 0), [0], [seed]
-        for w, code in islice(reversed(codes.items()), len(codes) - start):
-            tw = code - base
-            k = coset_of.get(tw)
-            if k is None:
-                k = len(counts)
-                coset_of.update((tw * s % n, k) for s in stab_dets)
-                counts.append(0)
-                reps.append(w)
-            counts[k] += 1
-            if k and w < reps[k]:
-                reps[k] = w
+    reps: Dict[int, Vec] = {}  # key -> the first class of its cusp that the scan meets
+    total = len(set(key_of.values()))
+    for w in chain([one], _classes(n)):
+        reps.setdefault(key_of[codes[w]], w)
+        if len(reps) == total:
+            break
 
-        members = []
-        for rep, count in zip(reps, counts):
-            width, rem = divmod(n * count * signs, gamma_order)
-            if rem or n % width:
-                raise BoundViolated(f"width of cusp {rep} of {G.label} is not a divisor of {n}")
-            members.append(CuspClass(n=n, rep=rep, width=width, lift=sl2_lift(rep, n)))
-        cusp_of.update((base + tw, members[k]) for tw, k in coset_of.items())
-        lines_of.update((c, lines) for c in members)
-        members.sort(key=seed_order)
-        orbits.append(CuspOrbit(members=tuple(members)))
-
-    orbits.sort(key=lambda o: seed_order(o.members[0]))
-    cusps = sorted((c for o in orbits for c in o.members), key=seed_order)
+    cusp_at = {key: CuspClass(n=n, rep=rep, width=walks[key // n][1], lift=sl2_lift(rep, n))
+               for key, rep in sorted(reps.items(), key=lambda kr: (kr[1] != one, kr[1]))}
+    cusps = tuple(cusp_at.values())
     if sum(c.width for c in cusps) != index:
         raise BoundViolated(f"cusp widths of {G.label} do not sum to its index {index}")
-    return tuple(cusps), (codes, cusp_of), tuple(orbits), lines_of
+    members: Dict[int, List[CuspClass]] = {}
+    for key, c in cusp_at.items():  # (1, 0) first, then by rep: so are the orbits, by first member
+        members.setdefault(key // n, []).append(c)
+    orbits = tuple(CuspOrbit(members=tuple(m)) for m in members.values())
+    cusp_of = {code: cusp_at[key] for code, key in key_of.items()}
+    lines_of = {c: walks[key // n][0] for key, c in cusp_at.items()}
+    return cusps, (codes, cusp_of), orbits, lines_of
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:

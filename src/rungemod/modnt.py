@@ -106,6 +106,14 @@ class SubgroupG:
         return self.generators
 
     @functools.cached_property
+    def det_image(self) -> DetImage:
+        """Image under det, built once: the subgroup of (Z/N)^* the generators' dets generate."""
+        n = self.n
+        dets = {mat_det(g, n) for g in self.generators}
+        residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
+        return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
+
+    @functools.cached_property
     def elements(self) -> FrozenSet[Mat]:
         """Every element, built on demand as u*t_a*(1 b; 0 d) from the chain's three levels.
 
@@ -313,14 +321,16 @@ def smallest_nonresidue(p: int) -> int:
 def _check_preset_modulus(p: int, exponent: int) -> int:
     if p < 3 or p % 2 == 0:
         raise UnsupportedModulus(f"preset base must be an odd prime, got {p}")
-    for q, _ in _factorize(p).items():
-        if q != p:
-            raise UnsupportedModulus(f"preset base must be prime, got {p}")
     if exponent < 1:
         raise UnsupportedModulus(f"preset exponent must be >= 1, got {exponent}")
-    m = p ** exponent
-    if m > MAX_PRESET_MODULUS:
-        raise UnsupportedModulus(f"preset modulus {m} exceeds cap {MAX_PRESET_MODULUS}")
+    m = 1
+    for _ in range(exponent):  # stops once m passes the cap, so no huge power is built
+        m *= p
+        if m > MAX_PRESET_MODULUS:
+            raise UnsupportedModulus(
+                f"preset modulus {p}^{exponent} exceeds cap {MAX_PRESET_MODULUS}")
+    if _factorize(p) != {p: 1}:
+        raise UnsupportedModulus(f"preset base must be prime, got {p}")
     return m
 
 
@@ -421,15 +431,8 @@ _PRESET_LONG = {short: long for long, short in _PRESET_SHORT.items()}
 
 
 def det_image(G: SubgroupG) -> DetImage:
-    """Image of G under det, as a subset of (Z/N)^*.
-
-    det is a homomorphism, so the image is the subgroup generated by the
-    determinants of the generators.
-    """
-    n = G.n
-    dets = {mat_det(g, n) for g in G.generators}
-    residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
-    return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
+    """Image of G under det, as a subset of (Z/N)^*: the group's own `det_image`."""
+    return G.det_image
 
 
 def parse_preset(token: str) -> SubgroupG:

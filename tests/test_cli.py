@@ -7,6 +7,7 @@ function's return value, not shell pipeline status.
 import json
 import math
 import os
+import time
 from decimal import Decimal
 from io import StringIO
 
@@ -57,6 +58,17 @@ def test_tspto_without_p_exit_two():
 def test_bad_group_exit_two():
     rc, _ = invoke(["cusps", "--group", "nosuch"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("token", ["split:3^10000000", "split:3^99999999",
+                                   "split:618970019642690137449562111"])  # 2^89 - 1, prime
+def test_oversized_preset_modulus_is_refused_at_once(token, capsys):
+    # neither p^exponent nor the factors of a huge base are computed: the cap comes first
+    start = time.perf_counter()
+    rc, text = invoke(["cusps", "--group", token])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and text == ""
+    assert "343" in capsys.readouterr().err
 
 
 def test_samples_must_be_positive():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import rungemod.cusps as cusps_mod
 from rungemod.cusps import (
+    _classes,
     CuspOrbit,
     canonical_class,
     cusp_containing,
@@ -16,7 +17,6 @@ from rungemod.cusps import (
     enumerate_cusps,
     galois_orbits,
     place_constants,
-    primitive_classes,
     runge_condition,
     sl2_index,
     sl2_lift,
@@ -67,7 +67,7 @@ def test_kernel_level_widths_and_count():
     # trivial SL2 part: every cusp has width N
     G = kernel_level_group(5)
     cusps = enumerate_cusps(G)
-    assert len(cusps) == len(primitive_classes(5)) == 12
+    assert len(cusps) == len(list(_classes(5))) == 12
     assert all(c.width == 5 for c in cusps)
 
 
@@ -110,7 +110,7 @@ def test_primitive_classes_match_brute_force():
             for y in range(n)
             if gcd(gcd(x, y), n) == 1
         }
-        assert primitive_classes(n) == sorted(brute)
+        assert list(_classes(n)) == sorted(brute)
 
 
 def test_walk_lines_one_map_serves_every_orbit():
@@ -124,12 +124,12 @@ def test_walk_lines_one_map_serves_every_orbit():
         shared = cusps_mod._walk_lines(n, G.generators, lams, seed, codes, k * n)
         assert shared == cusps_mod._walk_lines(n, G.generators, lams, seed, fresh)
         assert list(codes.items())[start:] == [(w, k * n + t) for w, t in fresh.items()]
-    assert k > 0 and len(codes) == len(primitive_classes(n))
+    assert k > 0 and len(codes) == len(list(_classes(n)))
 
 
 def test_lift_shape():
     for n in (3, 4, 5, 7, 12):
-        for v in primitive_classes(n):
+        for v in _classes(n):
             lift = sl2_lift(v, n)
             assert (lift[0], lift[2]) == v
             assert mat_det(lift, n) == 1
@@ -231,7 +231,7 @@ def test_place_constants_need_prime_p_and_positive_level(p, n):
 def test_cusp_partition_property(p, data):
     """Every primitive class belongs to exactly one enumerated cusp."""
     G = preset_subgroup("split_normalizer", p)
-    v = data.draw(st.sampled_from(primitive_classes(p)))
+    v = data.draw(st.sampled_from(list(_classes(p))))
     c = cusp_containing(G, v)
     assert c in enumerate_cusps(G)
     assert cusp_width(G, c) == c.width

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rungemod.modnt as modnt
+from rungemod import bound_th1, divisor_matrix, enumerate_cusps, galois_orbits, runge_unit
 from rungemod.errors import (
     BoundViolated,
     NonInvertibleGenerator,
@@ -234,6 +235,25 @@ def test_det_image_trivial_and_full():
     assert d3.is_full
 
 
+def test_det_image_is_built_once_per_group(monkeypatch):
+    # the exact chain asks for the det image many times; the group keeps the first
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return image_type(*args, **kwargs)
+
+    image_type = modnt.DetImage
+    monkeypatch.setattr(modnt, "DetImage", counting)
+    G = preset_subgroup("split_normalizer", 7)
+    enumerate_cusps(G)
+    orbits = galois_orbits(G)
+    divisor_matrix(G)
+    runge_unit(G, [orbits[0]], 1)
+    bound_th1(G)
+    assert det_image(G).is_full and len(built) == 1
+
+
 def test_preset_self_checks_raise_bound_violated(monkeypatch):
     # a wrong phi makes the closed form disagree with the chain order
     monkeypatch.setattr(modnt, "unit_count", lambda n: n)
@@ -243,6 +263,7 @@ def test_preset_self_checks_raise_bound_violated(monkeypatch):
 
 DROP_PRO_P_GENERATOR = """
 import rungemod.modnt as modnt
+from rungemod import bound_th1, divisor_matrix, enumerate_cusps, galois_orbits, runge_unit
 from rungemod.errors import BoundViolated
 
 full = modnt._nonsplit_generators
