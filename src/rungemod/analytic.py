@@ -193,7 +193,8 @@ class RealInterval:
         return _mpf_to_fraction(self.hi)
 
     def to_floats(self) -> Tuple[float, float]:
-        return to_float(self.lo), to_float(self.hi)
+        """The endpoints as floats, rounded outward: lo down, hi up."""
+        return to_float(self.lo, rnd="f"), to_float(self.hi, rnd="c")
 
 
 @functools.lru_cache(maxsize=16)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from mpmath.libmp import to_float
-
 from .analytic import DEFAULT_PRECISION, RealInterval, _escalate
 from .cusps import galois_orbits
 from .errors import BoundViolated, DegenerateJ, HypothesisFailed, Indeterminate
@@ -24,11 +22,6 @@ from .modnt import SubgroupG
 KAPPA_SPLIT_CARTAN = 16 * Fraction(10) ** 82
 
 HValue = Union[int, Fraction, RealInterval, Callable[[int], RealInterval]]
-
-
-def _float_up(iv: RealInterval) -> float:
-    """Upper endpoint as a float, rounded away from zero."""
-    return to_float(iv.hi, rnd="u")
 
 
 def _as_interval(x, prec: int) -> RealInterval:
@@ -143,7 +136,7 @@ class BoundReport:
     value_exact: Optional[Fraction] = None
 
     def upper_float(self) -> float:
-        return _float_up(self.value_log)
+        return self.value_log.to_floats()[1]
 
 
 def bound_th1(G: SubgroupG, precision: int = DEFAULT_PRECISION) -> BoundReport:

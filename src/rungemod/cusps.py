@@ -12,12 +12,11 @@ an orbit are the cosets of det(Stab(seed)) in det G; widths follow from
 the orbit's size by orbit-stabilizer, and each cusp's rep from one more
 scan in the seed order that stops when every cusp has one, so no element
 set is read and no orbit is walked twice.  The divisor-matrix rows sum
-over the pass's line reps.
+over the pass's line reps.  The pass's results stay on the group (`per_group`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -25,7 +24,7 @@ from math import exp, gcd, log
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundViolated, NotDefinedOverQ
-from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, sl2_order, unit_count
+from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, per_group, sl2_order, unit_count
 
 Vec = Tuple[int, int]
 
@@ -174,7 +173,7 @@ def _walk_lines(n: int, gens: Sequence[Mat], lams: Sequence[int], seed: Vec,
     return lines, ratios
 
 
-@functools.lru_cache(maxsize=128)
+@per_group
 def _cusp_data(G: SubgroupG) -> Tuple[
     Tuple[CuspClass, ...], Tuple[Dict[Vec, int], Dict[int, CuspClass]], Tuple[CuspOrbit, ...],
     Dict[CuspClass, List[Vec]]

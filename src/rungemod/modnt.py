@@ -7,7 +7,8 @@ in P1(Z/N), the image A of Stab([e1]) under (a b; 0 d) -> a, and Stab(e1),
 kept as a det image, one translate per det and a translation step.  The
 determinant image, the cusps and the orbits that downstream sums over G
 reduce to are orbits under the generators, exact by orbit-stabilizer.  No
-element set is built, not even a stabilizer's; moduli are capped.
+element set is built, not even a stabilizer's; moduli are capped.  What is
+computed per group is kept in the group's own dict (`per_group`), freed with it.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class SubgroupG:
     both facts come from the three levels of the stabilizer chain (the line
     G*[e1], A, Stab(e1)) when the group is built.  The generators drive the
     determinant image and every orbit search (cusps, Galois orbits, trace
-    rows, columns).
+    rows, columns); their results stay in the instance dict (`per_group`).
     """
 
     n: int
@@ -106,14 +107,6 @@ class SubgroupG:
         return self.generators
 
     @functools.cached_property
-    def det_image(self) -> DetImage:
-        """Image under det, built once: the subgroup of (Z/N)^* the generators' dets generate."""
-        n = self.n
-        dets = {mat_det(g, n) for g in self.generators}
-        residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
-        return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
-
-    @functools.cached_property
     def elements(self) -> FrozenSet[Mat]:
         """Every element, built on demand as u*t_a*(1 b; 0 d) from the chain's three levels.
 
@@ -131,6 +124,17 @@ class SubgroupG:
             for x0, x1, y0, y1 in cols
             for d, b0 in beta.items() for b in range(b0 % step, n, step)
         )
+
+
+def per_group(fn: Callable[..., T]) -> Callable[..., T]:
+    """Memoize fn(G, *args) in G's instance dict, freed with G: no value may refer back to G."""
+    @functools.wraps(fn)
+    def memo(G: SubgroupG, *args) -> T:
+        cache, key = G.__dict__.setdefault("_per_group", {}), (fn, *args)
+        if key not in cache:
+            cache[key] = fn(G, *args)
+        return cache[key]
+    return memo
 
 
 @dataclass(frozen=True)
@@ -430,9 +434,13 @@ _PRESET_SHORT = {
 _PRESET_LONG = {short: long for long, short in _PRESET_SHORT.items()}
 
 
+@per_group
 def det_image(G: SubgroupG) -> DetImage:
-    """Image of G under det, as a subset of (Z/N)^*: the group's own `det_image`."""
-    return G.det_image
+    """Image of G under det: the subgroup of (Z/N)^* the generators' dets generate."""
+    n = G.n
+    dets = {mat_det(g, n) for g in G.generators}
+    residues = frozenset(generated_orbit(1, dets, lambda d, r: d * r % n))
+    return DetImage(n=n, residues=residues, is_full=len(residues) == unit_count(n))
 
 
 def parse_preset(token: str) -> SubgroupG:

@@ -13,6 +13,7 @@ Cramer's rule all come from one fraction-free elimination, `_echelon`.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -29,7 +30,7 @@ from .errors import (
     RungeConditionFailed,
     SigmaNotProper,
 )
-from .modnt import Mat, SubgroupG, det_image, mat_det, unit_count
+from .modnt import Mat, SubgroupG, det_image, mat_det, per_group, unit_count
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def ord_u(n: int, a: TorsionIndex, c: CuspClass) -> int:
     return val
 
 
-@functools.lru_cache(maxsize=256)
+@per_group  # runge_unit rebuilds the divisor matrix that a caller often has just built
 def _trace_row(G: SubgroupG, c: CuspClass, columns: Tuple[TorsionIndex, ...]) -> Tuple[int, ...]:
     """Orders at the cusp c of the trace products w_a, a in columns, over c's orbit lines.
 
@@ -172,7 +173,7 @@ def _level_reps(m: int, gens: Sequence[Mat], lams: Sequence[int]) -> List[Vec]:
             for seed in _orbit_seeds(m, seen)]
 
 
-@functools.lru_cache(maxsize=64)
+@per_group
 def _column_reps(G: SubgroupG) -> Tuple[TorsionIndex, ...]:
     """Lex-least representatives of nonzero row vectors modulo a -> +/-(a*sigma), sorted.
 
@@ -314,12 +315,22 @@ def runge_vector(M: Sequence[Sequence[int]], A: int) -> Tuple[int, ...]:
     return tuple(b)
 
 
+_LOG2_UP = Fraction(6931471805599453095, 10 ** 19)  # > log 2, by less than 2^-60
+
+
+def _float_up(q) -> float:
+    """The least float >= q: inf only when q passes the float range."""
+    f = math.inf if q > sys.float_info.max else float(q)
+    return f if f >= q else math.nextafter(f, math.inf)
+
+
 @dataclass(frozen=True)
 class RungeUnit:
     """Unit with positive cusp orders on a target orbit set.
 
     exponents maps a-classes to integers b_a; the unit is prod w_a^(b_a).
-    bound_B = s^(s/2+1) (|G| n^2)^(s-1); bound_B_squared is its exact square.
+    B = s^(s/2+1) (|G| n^2)^(s-1); bound_B_squared is its exact square.  The
+    float fields are upper bounds, rounded up: bound_B of B and the budgets.
     """
 
     group: SubgroupG
@@ -379,12 +390,7 @@ def runge_unit(G: SubgroupG, sigma: Iterable[CuspOrbit], s: int) -> RungeUnit:
     if any(v * v > bound_sq * (g * n * n) ** 2 for v in orbit_orders):
         raise BoundViolated("a cusp order exceeds B |G| n^2")
 
-    try:
-        bound_B = math.sqrt(bound_sq)
-    except OverflowError:
-        # beyond float range: infinity is still an upper bound, and the
-        # budgets below follow it; bound_B_squared stays exact
-        bound_B = math.inf
+    r = math.isqrt(bound_sq - 1) + 1  # the least integer >= B
     return RungeUnit(
         group=G,
         s=s,
@@ -392,8 +398,8 @@ def runge_unit(G: SubgroupG, sigma: Iterable[CuspOrbit], s: int) -> RungeUnit:
         exponents=exponents,
         divisor=CuspDivisor(orders),
         l1_norm=l1,
-        bound_B=bound_B,
+        bound_B=_float_up(r),
         bound_B_squared=bound_sq,
-        lambda_budget_log2=12.0 * bound_B * g * n * math.log(2),
-        lambda_budget_relaxed=9.0 * bound_B * g * n,
+        lambda_budget_log2=_float_up(12 * r * g * n * _LOG2_UP),
+        lambda_budget_relaxed=_float_up(9 * r * g * n),
     )

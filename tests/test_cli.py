@@ -9,10 +9,13 @@ import math
 import os
 import time
 from decimal import Decimal
+from fractions import Fraction
 from io import StringIO
 
 import pytest
 
+from rungemod.analytic import RealInterval
+from rungemod.bounds import height_rational, split_cartan_level_cap
 from rungemod.cli import DEFAULT_PRECISION, run
 from rungemod.cusps import CuspClass, enumerate_cusps
 from rungemod.modnt import parse_preset
@@ -94,7 +97,7 @@ def test_group_file_is_accepted(tmp_path):
 
 
 def test_runge_unit_bound_beyond_float_range_exit_zero(tmp_path):
-    # Gamma1-type group mod 47: 23 rational orbits, B^2 beyond float range
+    # Gamma1-type group mod 47: 23 rational orbits, B^2 beyond float range but B within it
     path = tmp_path / "gamma1_47.txt"
     path.write_text("N=47\n1 1 0 1\n1 0 0 5\n")
     rc, text = invoke(
@@ -103,7 +106,7 @@ def test_runge_unit_bound_beyond_float_range_exit_zero(tmp_path):
     assert rc == 0
     payload = json.loads(text)
     assert payload["s"] == 23 and len(payload["sigma"]) == 23
-    assert math.isinf(payload["bound_B"])
+    assert Fraction(payload["bound_B"]) ** 2 >= int(payload["bound_B_squared"])
 
 
 # ------------------------------------------------------------ JSON schema
@@ -265,6 +268,35 @@ def test_runge_unit_split5_json():
     total = sum(d["width"] * d["order"] for d in payload["divisor"])
     assert total == 0
     assert payload["l1_norm"] >= 1
+
+
+# --------------------------------------------------- printed upper bounds
+
+
+def test_printed_floats_are_upper_bounds():
+    # each float field is checked against the exact value or a 600-bit enclosure
+    for p in (11, 13, 17):
+        tspto = RealInterval.from_int(p, 600).log().scale_fraction(Fraction(23 * p))
+        for j in (1, 2, 10 ** 6):
+            rc, payload = invoke_json(["serre-check", "--p", str(p), "--j", str(j)])
+            assert rc == 0
+            (rep,) = payload["reports"]
+            h = height_rational(j, payload["precision"])
+            cap = split_cartan_level_cap(lambda prec: height_rational(j, prec), 600).cap
+            assert Fraction(rep["height"]) >= h.hi_fraction()
+            assert Fraction(rep["tspto_cap"]) >= tspto.hi_fraction()
+            assert Fraction(rep["level_cap"]) >= cap.hi_fraction()
+    log2 = RealInterval.from_int(2, 600).log().hi_fraction()
+    for argv in (["split:3^5", "--s", "3"], ["split:5^3", "--s", "3"],
+                 ["borel:3^4", "--s", "3"], ["split:7^3"]):
+        rc, payload = invoke_json(["runge-unit", "--group"] + argv)
+        assert rc == 0
+        G = parse_preset(argv[0])
+        b_sq, gn = int(payload["bound_B_squared"]), G.order * G.n
+        # x >= c*B iff (x/c)^2 >= B^2, for the budgets 9 B |G| N and 12 B |G| N log 2
+        assert Fraction(payload["bound_B"]) ** 2 >= b_sq
+        assert (Fraction(payload["lambda_budget_relaxed"]) / (9 * gn)) ** 2 >= b_sq
+        assert (Fraction(payload["lambda_budget_log2"]) / (12 * gn * log2)) ** 2 >= b_sq
 
 
 # --------------------------------------------------------------- selftest

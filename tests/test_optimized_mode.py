@@ -20,6 +20,27 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_no_functools_cache_takes_a_group():
+    # a module cache keyed by a group keeps it alive; per-group results go
+    # through modnt.per_group into the group's own dict instead
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "rungemod", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+                     for d in decorators}
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if names & {"lru_cache", "cache"} and any(
+                    a.annotation is not None and "SubgroupG" in ast.unparse(a.annotation)
+                    for a in params):
+                found.append("%s:%s" % (os.path.basename(path), node.name))
+    assert found == []
+
+
 def test_selftest_passes_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "rungemod.cli", "selftest", "--format", "json"],

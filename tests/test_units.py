@@ -1,7 +1,10 @@
 """Divisor orders of Siegel units, the divisor matrix, and the Runge unit."""
 
 import itertools
+import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,8 @@ from rungemod.errors import (
     SigmaNotProper,
 )
 from rungemod import units
+from rungemod.analytic import RealInterval
+from rungemod.bounds import bound_th1
 from rungemod.modnt import kernel_level_group, parse_group_text, preset_subgroup
 from rungemod.units import (
     CuspDivisor,
@@ -454,7 +459,7 @@ GAMMA1_47 = "N=47\n1 1 0 1\n1 0 0 5\n"
 
 
 def test_runge_unit_gamma1_47_bound_beyond_float_range():
-    # B^2 is far beyond float range here: bound_B and the budgets become inf
+    # B^2 is far beyond float range here, B is not: bound_B is its float rounded up
     G = parse_group_text(GAMMA1_47)
     orbits = galois_orbits(G)
     assert sorted(o.degree for o in orbits) == [1] * 23 + [23]
@@ -462,6 +467,32 @@ def test_runge_unit_gamma1_47_bound_beyond_float_range():
     u = runge_unit(G, rational, 23)
     assert u.l1_norm ** 2 <= u.bound_B_squared
     assert u.bound_B_squared > 2 ** 1024
-    assert u.bound_B == u.lambda_budget_log2 == u.lambda_budget_relaxed == float("inf")
+    assert Fraction(u.bound_B) ** 2 >= u.bound_B_squared
     for o in rational:
         assert u.divisor.orders[o.members[0]] > 0
+
+
+def test_log2_upper_bound_at_600_bits():
+    log2 = RealInterval.from_int(2, 600).log()
+    assert log2.hi_fraction() <= units._LOG2_UP < log2.lo_fraction() + Fraction(1, 2 ** 60)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-1, 3), 2 ** 60 + 1, 10 ** 300 + 1,
+                               int(sys.float_info.max), 2 ** 1024],
+                         ids=["1/3", "-1/3", "2^60+1", "10^300+1", "float_max", "2^1024"])
+def test_float_up_is_the_least_float_above(q):
+    f = units._float_up(q)
+    assert f >= q
+    assert math.nextafter(f, -math.inf) < q
+    assert math.isinf(f) == (q > sys.float_info.max)
+
+
+def test_dropped_group_is_freed_with_its_results():
+    # per-group results sit in the group's own dict and none refers back to
+    # it, so the group and its cusps go at once, with no gc pass
+    G = preset_subgroup("split_normalizer", 7, 3)
+    bound_th1(G)
+    divisor_matrix(G)
+    refs = [weakref.ref(G), weakref.ref(enumerate_cusps(G)[0])]
+    del G
+    assert [r() for r in refs] == [None, None]
