@@ -50,7 +50,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .cusps import CuspClass, canonical_class, cusp_containing
+from .cusps import CuspClass, cusp_containing
 from .errors import BoundViolated, Indeterminate, NotInPlusRegion, PrecisionExhausted
 from .modnt import SubgroupG
 from .units import TorsionIndex, bernoulli2, ell
@@ -813,9 +813,7 @@ def nearest_cusp(G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRE
 
     _escalate(q_gate, precision)
 
-    a_, b_, c_, d_ = gamma
-    v = canonical_class((d_ % G.n, (-c_) % G.n), G.n)
-    return cusp_containing(G, v)
+    return cusp_containing(G, (gamma[3], -gamma[2]))  # the first column of gamma^-1
 
 
 @dataclass(frozen=True)

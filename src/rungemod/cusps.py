@@ -3,16 +3,15 @@
 A cusp is an orbit of <G, -1> meet SL2 acting on primitive column vectors
 mod N, taken modulo sign; the orbit of the same classes under <G, -1> is
 the Galois orbit over Q (valid when det G is all of (Z/N)^*).  Both come
-from one breadth-first pass under the generators of G over the lines {s*w}
-of the classes w under the scalars s of G, which records the det of a word
-reaching each class in one map shared by all orbits; that map, with a small
-one from (orbit, det) to cusp, is the only per-class structure, and seeds
-come from a lazy scan that stops when every class is seen.  The cusps of
-an orbit are the cosets of det(Stab(seed)) in det G; widths follow from
-the orbit's size by orbit-stabilizer, and each cusp's rep from one more
-scan in the seed order that stops when every cusp has one, so no element
-set is read and no orbit is walked twice.  The divisor-matrix rows sum
-over the pass's line reps.  The pass's results stay on the group (`per_group`).
+from one breadth-first pass under the generators of G over the lines {s*w},
+s a scalar of G (`_line_orbits`): its one map has an entry per line, keyed
+by the line's point of P1(Z/N) and coset of scalars, and gives the det of a
+word reaching any class.  The cusps of an orbit are the cosets of
+det(Stab(seed)) in det G; widths follow from the orbit's size by
+orbit-stabilizer, and each cusp's rep from one more scan in the seed order
+that stops when every cusp has one, so no element set is read and no orbit
+is walked twice.  The divisor-matrix rows sum over the pass's line reps.
+The pass's results stay on the group (`per_group`).
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import exp, gcd, log
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BoundViolated, NotDefinedOverQ
-from .modnt import Mat, SubgroupG, det_image, generated_orbit, mat_det, per_group, sl2_order, unit_count
+from .modnt import (Mat, SubgroupG, _line_key, det_image, generated_orbit, mat_det, per_group,
+                    sl2_order, unit_count)
 
 Vec = Tuple[int, int]
 
@@ -43,37 +43,19 @@ def _classes(n: int) -> Iterator[Vec]:
             if gcd(x, y, n) == 1 and not (x == -x % n and y > -y % n))
 
 
-def _orbit_seeds(n: int, seen: Dict[Vec, int]) -> Iterator[Vec]:
-    """(1, 0), then each class not in `seen` in sorted order, until `seen` holds every class;
-    the caller walks each seed's orbit into `seen` before asking for the next."""
-    total = sl2_order(n) // (n if n == 2 else 2 * n)  # primitive vectors, two per class but mod 2
-    for seed in chain([(1 % n, 0)], _classes(n)):
-        if len(seen) == total:
-            return
-        if seed not in seen:
-            yield seed
-
-
 def sl2_lift(v: Vec, n: int) -> Mat:
-    """Deterministic matrix in SL2(Z/n) whose first column is v.
+    """Deterministic matrix (x b; y d) in SL2(Z/n) with v = (x, y): the least b >= 0, then d.
 
-    Solves x*d - y*b = 1 mod n scanning b upward from 0, then taking the
-    smallest nonnegative d; reproducibility matters because the lift
-    enters order computations downstream.
+    With g = gcd(x, n), x*d - y*b = 1 needs y*b = -1 mod g, so b is the least
+    -1/y mod g, and then (x/g)*d = (1 + y*b)/g mod n/g fixes the least d;
+    reproducibility matters because the lift enters order computations downstream.
     """
     x, y = v[0] % n, v[1] % n
-    for b in range(n):
-        rhs = (1 + y * b) % n
-        g = gcd(x, n)
-        if rhs % g != 0:
-            continue
-        # solve x*d = rhs mod n; gcd(x/g, n/g) = 1 always
-        n_red = n // g
-        d = 0 if n_red == 1 else (rhs // g) * pow(x // g, -1, n_red) % n_red
-        lift = (x, b, y, d)
-        if (x * d - y * b) % n == 1:
-            return lift
-    raise ValueError(f"vector {v} is not primitive mod {n}")
+    g = gcd(x, n)
+    if gcd(y, g) != 1:
+        raise ValueError(f"vector {v} is not primitive mod {n}")
+    b = -pow(y, -1, g) % g
+    return x, b, y, (1 + y * b) // g * pow(x // g, -1, n // g) % (n // g)
 
 
 @dataclass(frozen=True)
@@ -131,66 +113,76 @@ class PlaceConstants:
         return None
 
 
-def _walk_lines(n: int, gens: Sequence[Mat], lams: Sequence[int], seed: Vec,
-                codes: Dict[Vec, int], base: int = 0) -> Tuple[List[Vec], Set[int]]:
-    """Orbit of the +/- class seed under <gens, -1> by lines; the line reps and the ratios.
+def _line_orbits(n: int, gens: Sequence[Mat], lams: Sequence[int]
+                 ) -> Tuple[List[Tuple[List[Vec], Set[int]]], Callable[[int, int], int]]:
+    """The orbits of <gens, -1> on the +/- classes mod n by lines, as (line reps, ratios), and `code`.
 
-    lams are the group's `line_scalars`; codes gets each class w as base + t(w),
-    t(w) the det of a word taking seed to w; the walk meets only this orbit, so
-    one map serves a whole pass.  A new w fills its line, t(lam*w) = lam^2 t(w),
-    and only w meets the gens: scalars are central, so an edge from lam*w has
-    the ratio t(w)det(g)/t(g*w) of the edge from w, and a scalar edge ratio 1,
-    so the reps' ratios are all of Schreier's and generate det(Stab(seed)).
+    lams are the group's `line_scalars`.  One map holds one entry per line
+    {lam*w}: keyed by w's point of P1(Z/n) and the least of s*(+/-lams) for
+    w = s*rep (`_line_key`), it stores k*N + t(w)/s^2 for the k-th orbit, t(w)
+    the det of a word taking the k-th seed to w; as t(lam*w) = lam^2 t(w),
+    `code` gives each class v = s*rep of the line as k*N + t(v).  The seeds are
+    (1, 0), then the sorted classes, on no line seen; a line never folds
+    (lam*w = +/-w forces lam = +/-1), so the scan stops at #classes/|lams|
+    lines.  Only a line's rep meets the gens: scalars are central, so an edge
+    from lam*w has the ratio t(w)det(g)/t(g*w) of the edge from w, and a scalar
+    edge ratio 1, so the ratios are all of Schreier's and generate det(Stab(seed)).
     """
-    edges = [(g, mat_det(g, n)) for g in gens]
-    code = [base + t for t in range(n)]  # so the classes of one code share one int object
-    lines: List[Vec] = []
-    ratios: Set[int] = set()
+    key, edges = _line_key(n), [(g, mat_det(g, n)) for g in gens]
+    coset: Dict[int, int] = {}  # unit s -> the least of s*(+/-lams), met first in ascending order
+    for s in range(1, n):
+        if s not in coset and gcd(s, n) == 1:
+            coset.update((s * lam * e % n, s) for lam in lams for e in (1, -1))
+    seen: Dict[Tuple[Tuple[int, ...], int], int] = {}
 
-    def fill(x: int, y: int, tx: int) -> None:
-        lines.append((x, y))
-        for lam in lams:
-            u, v = lam * x % n, lam * y % n
-            nu = -u % n
-            if u > nu or u == nu and v > -v % n:  # canonical_class, inlined
-                u, v = nu, -v % n
-            codes[(u, v)] = code[tx * lam * lam % n]
+    def line_of(x: int, y: int) -> Tuple[Tuple[Tuple[int, ...], int], int]:
+        point, s = key(x, y)
+        return (point, coset[s]), s
 
-    fill(*seed, 1)
-    for x, y in lines:
-        tw = codes[(x, y)] - base
-        for (a, b, c, d), det_g in edges:
-            u, v = (a * x + b * y) % n, (c * x + d * y) % n
-            nu = -u % n
-            if u > nu or u == nu and v > -v % n:
-                u, v = nu, -v % n
-            tv = tw * det_g % n
-            old = codes.get((u, v))
-            if old is None:
-                fill(u, v, tv)
-            elif old - base != tv:
-                ratios.add(tv * pow(old - base, -1, n) % n)
-    return lines, ratios
+    def code(x: int, y: int) -> int:
+        line, s = line_of(x, y)
+        return seen[line] // n * n + seen[line] * s * s % n
+
+    walks: List[Tuple[List[Vec], Set[int]]] = []
+    total = sl2_order(n) // (n if n == 2 else 2 * n) // len(lams)  # two vectors per class but mod 2
+    for x0, y0 in chain([(1 % n, 0)], _classes(n)):
+        if len(seen) == total:
+            break
+        line, s = line_of(x0, y0)
+        if line in seen:
+            continue
+        base, queue, ratios = len(walks) * n, [(x0, y0, 1)], set()
+        seen[line] = base + pow(s, -2, n)
+        for x, y, tw in queue:
+            for (a, b, c, d), det_g in edges:
+                u, v = (a * x + b * y) % n, (c * x + d * y) % n
+                tv = tw * det_g % n
+                line, s = line_of(u, v)
+                if line not in seen:
+                    seen[line] = base + tv * pow(s, -2, n) % n
+                    queue.append((u, v, tv))
+                elif (seen[line] - base) * s * s % n != tv:
+                    ratios.add(tv * pow((seen[line] - base) * s * s, -1, n) % n)
+        walks.append(([(x, y) for x, y, _ in queue], ratios))
+    return walks, code
 
 
 @per_group
 def _cusp_data(G: SubgroupG) -> Tuple[
-    Tuple[CuspClass, ...], Tuple[Dict[Vec, int], Dict[int, CuspClass]], Tuple[CuspOrbit, ...],
-    Dict[CuspClass, List[Vec]]
+    Tuple[CuspClass, ...], Tuple[Callable[[int, int], int], Dict[int, CuspClass]],
+    Tuple[CuspOrbit, ...], Dict[CuspClass, List[Vec]]
 ]:
-    """All cusps, the maps class -> code -> cusp, the <G, -1>-orbits of cusps, cusp -> line reps.
+    """All cusps, the maps vector -> code -> cusp, the <G, -1>-orbits of cusps, cusp -> line reps.
 
-    One `_walk_lines` pass per orbit of <G, -1> on the vector classes, the k-th
-    from its first class in the order (1, 0), then the sorted classes, into one
-    map of codes k*N + t: the pass's only per-class structure.  The ratios
+    The k-th walk of `_line_orbits` covers the k-th orbit of <G, -1> on the
+    vector classes, and its `code` gives a class's k*N + t.  The ratios
     generate S = det(Stab(seed)), and Gamma = <G, -1> meet SL2 is the kernel of
     det on <G, -1>, so two classes of the orbit lie in one cusp iff their
     t-values lie in one coset of S in D = det G; so a code names its cusp, and
-    the orbit holds |D|/|S| cusps, which <G, -1> permutes transitively.  A line
-    never folds (lam*w = +/-w forces lam = +/-1), so the orbit holds
-    len(lines)*|lams| classes, |S|/|D| of them in each cusp.  A cusp c whose
-    classes hold |V_c| vectors has width N |V_c| / |Gamma|: the N |V_c|
-    matrices of SL2 taking e1 into V_c are Gamma*lift*U, and Gamma meets
+    the orbit holds |D|/|S| cusps, which <G, -1> permutes transitively.  The
+    orbit holds len(lines)*|lams| classes, |S|/|D| of them in each cusp.  A
+    cusp c whose classes hold |V_c| vectors has width N |V_c| / |Gamma|: the
+    N |V_c| matrices of SL2 taking e1 into V_c are Gamma*lift*U, and Gamma meets
     lift*U*lift^-1 in N/width elements.  One scan over (1, 0), then the sorted
     classes, gives each cusp the first class it meets as rep: (1, 0) for its
     own cusp, the least class for every other.  Each cusp maps to its orbit's
@@ -204,30 +196,28 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     gamma_order = sl2_order(n) // index
     signs = 1 if n == 2 else 2  # vectors per +/- class: v = -v only mod 2
 
-    codes: Dict[Vec, int] = {}
+    walks, code = _line_orbits(n, G.generators, lams)
     key_of: Dict[int, int] = {}  # code k*N + t -> k*N + the least t' in t*S
-    walks: List[Tuple[List[Vec], int]] = []
-    for seed in _orbit_seeds(n, codes):
-        base = len(walks) * n
-        lines, ratios = _walk_lines(n, G.generators, lams, seed, codes, base)
+    widths: List[int] = []
+    for k, (lines, ratios) in enumerate(walks):
         stab_dets = generated_orbit(1, ratios, lambda r, s: r * s % n)
         for d in dets:  # ascending, so d is the least of its coset when first met
-            if base + d not in key_of:
-                key_of.update((base + d * s % n, base + d) for s in stab_dets)
+            if k * n + d not in key_of:
+                key_of.update((k * n + d * s % n, k * n + d) for s in stab_dets)
         width, rem = divmod(n * len(lines) * len(lams) * len(stab_dets) * signs,
                             len(dets) * gamma_order)
         if rem or n % width:
-            raise BoundViolated(f"width of cusp {seed} of {G.label} is not a divisor of {n}")
-        walks.append((lines, width))
+            raise BoundViolated(f"width of cusp {lines[0]} of {G.label} is not a divisor of {n}")
+        widths.append(width)
 
     reps: Dict[int, Vec] = {}  # key -> the first class of its cusp that the scan meets
     total = len(set(key_of.values()))
     for w in chain([one], _classes(n)):
-        reps.setdefault(key_of[codes[w]], w)
+        reps.setdefault(key_of[code(*w)], w)
         if len(reps) == total:
             break
 
-    cusp_at = {key: CuspClass(n=n, rep=rep, width=walks[key // n][1], lift=sl2_lift(rep, n))
+    cusp_at = {key: CuspClass(n=n, rep=rep, width=widths[key // n], lift=sl2_lift(rep, n))
                for key, rep in sorted(reps.items(), key=lambda kr: (kr[1] != one, kr[1]))}
     cusps = tuple(cusp_at.values())
     if sum(c.width for c in cusps) != index:
@@ -238,7 +228,7 @@ def _cusp_data(G: SubgroupG) -> Tuple[
     orbits = tuple(CuspOrbit(members=tuple(m)) for m in members.values())
     cusp_of = {code: cusp_at[key] for code, key in key_of.items()}
     lines_of = {c: walks[key // n][0] for key, c in cusp_at.items()}
-    return cusps, (codes, cusp_of), orbits, lines_of
+    return cusps, (code, cusp_of), orbits, lines_of
 
 
 def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
@@ -247,12 +237,11 @@ def enumerate_cusps(G: SubgroupG) -> List[CuspClass]:
 
 
 def cusp_containing(G: SubgroupG, v: Vec) -> CuspClass:
-    """The cusp whose vector classes include v: the class's code in the pass's map names it."""
-    codes, cusp_of = _cusp_data(G)[1]
-    code = codes.get(canonical_class(v, G.n))
-    if code is None:
+    """The cusp whose vector classes include v: the code of v in the pass's map names it."""
+    if gcd(v[0], v[1], G.n) != 1:  # else its P1 key would name some line all the same
         raise ValueError(f"vector {v} is not primitive mod {G.n}")
-    return cusp_of[code]
+    code, cusp_of = _cusp_data(G)[1]
+    return cusp_of[code(*v)]
 
 
 def orbit_classes(G: SubgroupG, c: CuspClass) -> List[Vec]:

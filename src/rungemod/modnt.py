@@ -182,17 +182,29 @@ def sl2_order(n: int) -> int:
 Column = Tuple[int, int]
 
 
-def _line_key(n: int) -> Callable[[int, int], Tuple[int, ...]]:
-    """Key of the line {s*(x, y)} in P1(Z/n) of a primitive vector (x, y).
+def _line_key(n: int) -> Callable[[int, int], Tuple[Tuple[int, ...], int]]:
+    """(key, s) of a primitive (x, y): its point of P1(Z/n) and the unit s with (x, y) = s*rep.
 
-    Per prime power q = p^e dividing n it is y/x mod q when p does not divide
-    x, else q + x/y mod q; by the CRT the tuple over q tells lines apart.
+    In Cremona's normal form (Algorithms for Modular Elliptic Curves, 2.2),
+    per prime power q = p^e dividing n the rep is (1, y/x) with s_q = x when p
+    does not divide x, else (x/y, 1) with s_q = y, keyed y/x or q + x/y mod q.
+    By the CRT the tuple over q tells points apart, and s = sum of s_q*e_q over
+    the idempotents e_q = 1 mod q, 0 mod n/q.
     """
-    parts = [(p, p ** e, [pow(v, -1, p ** e) if v % p else 0 for v in range(p ** e)])
-             for p, e in _factorize(n).items()]
-    return lambda x, y: tuple(
-        y * inv[x % q] % q if x % p else q + x * inv[y % q] % q for p, q, inv in parts
-    )
+    parts = [(p, p ** e, [pow(v, -1, p ** e) if v % p else 0 for v in range(p ** e)],
+              n // p ** e * pow(n // p ** e, -1, p ** e)) for p, e in _factorize(n).items()]
+
+    def key(x: int, y: int) -> Tuple[Tuple[int, ...], int]:
+        point, s = [], 0
+        for p, q, inv, e_q in parts:
+            if x % p:
+                point.append(y * inv[x % q] % q)
+                s += x * e_q
+            else:
+                point.append(q + x * inv[y % q] % q)
+                s += y * e_q
+        return tuple(point), s % n
+    return key
 
 
 def _stabilizer_chain(n: int, gens: Sequence[Mat]) -> Tuple[dict, dict, dict, int, tuple]:
@@ -219,7 +231,7 @@ def _stabilizer_chain(n: int, gens: Sequence[Mat]) -> Tuple[dict, dict, dict, in
     """
     key = _line_key(n)
     dets_inv = [pow(mat_det(g, n), -1, n) for g in gens]
-    transversal = {key(1, 0): (1, 0, 0, 1, 1)}
+    transversal = {key(1, 0)[0]: (1, 0, 0, 1, 1)}
     queue = list(transversal.values())
     units = {1: (0, 1, 1, 1)}
     beta, step = {1: 0}, n
@@ -238,7 +250,7 @@ def _stabilizer_chain(n: int, gens: Sequence[Mat]) -> Tuple[dict, dict, dict, in
             z0, z1 = (a * x0 + b * x1) % n, (c * x0 + d * x1) % n
             w0, w1 = (a * y0 + b * y1) % n, (c * y0 + d * y1) % n
             new = (z0, z1, w0, w1, di * gdi % n)
-            u = transversal.setdefault(key(z0, z1), new)
+            u = transversal.setdefault(key(z0, z1)[0], new)
             if u is new:
                 queue.append(u)
                 continue

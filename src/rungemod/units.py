@@ -5,8 +5,9 @@ is ell(a) = B2({a1})/2; all cusp orders are integer combinations of the
 scaled values 12*n^2*ell(x/n) = 6x^2 - 6nx + n^2.  A row of the divisor
 matrix sums them over one cusp orbit's lines {s*r}, s a scalar of G, as one
 table lookup F(a*r) = sum over s of the value at s*a*r per line rep r that
-the cusp pass in `cusps` kept; nothing here walks a cusp orbit again, and
-the column classes come from those lines too (see `_column_reps`).  The
+the cusp pass in `cusps` kept; nothing here walks a cusp orbit again.  The
+column classes come from those lines too, and below level N from the same
+pass, `_line_orbits`, one map entry per line (see `_column_reps`).  The
 rank of the divisor matrix, the Runge minor S and the determinants of
 Cramer's rule all come from one fraction-free elimination, `_echelon`.
 """
@@ -19,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, _orbit_seeds, _walk_lines,
-                    cusp_containing, galois_orbits, runge_condition)
+from .cusps import (CuspClass, CuspOrbit, Vec, _cusp_data, _line_orbits, cusp_containing,
+                    galois_orbits, runge_condition)
 from .errors import (
     BoundViolated,
     ModulusMismatch,
@@ -168,9 +169,7 @@ def _least_row(lines: Sequence[Vec], m: int, lams: Sequence[int]) -> Vec:
 
 def _level_reps(m: int, gens: Sequence[Mat], lams: Sequence[int]) -> List[Vec]:
     """Least row of each orbit of the +/- primitive column classes mod m under gens and lams."""
-    seen: Dict[Vec, int] = {}
-    return [_least_row(_walk_lines(m, gens, lams, seed, seen)[0], m, lams)
-            for seed in _orbit_seeds(m, seen)]
+    return [_least_row(lines, m, lams) for lines, _ in _line_orbits(m, gens, lams)[0]]
 
 
 @per_group

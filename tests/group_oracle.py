@@ -3,8 +3,9 @@
 `closure` is the breadth-first closure loop the library used before it
 computed |G| and -1 from a stabilizer chain, `walk_column_reps` is the
 walk over every row vector it used before it read the divisor-matrix
-columns off the cusp pass, and `walk_cusps` is the cusp pass as it ran
-before it walked whole lines under the scalars: one class at a time.  They
+columns off the cusp pass, `walk_cusps` is the cusp pass as it ran
+before it walked whole lines under the scalars: one class at a time, and
+`scan_sl2_lift` is the lift by a scan over b, before its closed form.  They
 share no code with rungemod, so the tests that compare against them stay
 independent of the library's algorithms.
 """
@@ -182,3 +183,13 @@ def walk_cusps(G):
         orbits,
         {i: orbit_sets[f[2]] for i, f in enumerate(found)},
     )
+
+
+def scan_sl2_lift(v, n):
+    """(x, b, y, d) in SL2(Z/n) with v = (x, y): the least b >= 0 that solves, then the least d."""
+    x, y = v[0] % n, v[1] % n
+    for b in range(n):
+        for d in range(n):
+            if (x * d - y * b) % n == 1:
+                return x, b, y, d
+    raise ValueError(f"vector {v} is not primitive mod {n}")

@@ -9,7 +9,10 @@ budgets are asserted where the contract includes one.
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
+
+import pytest
 
 from rungemod.bounds import (
     bound_tbo,
@@ -125,19 +128,26 @@ def test_divisor_rank_is_orbit_count_minus_one():
     assert time.monotonic() - start < 30.0
 
 
-def test_split_11_cubed_at_paper_scale(monkeypatch):
-    # past the preset cap: 2.9 million group elements and 726 cusps from one cusp pass
-    monkeypatch.setattr(modnt, "MAX_PRESET_MODULUS", 11 ** 3)
-    start = time.monotonic()
-    G = parse_preset("split:11^3")
-    assert len(enumerate_cusps(G)) == 726
-    assert sl2_index(G) == 966306
-    orbits = galois_orbits(G)
-    assert sorted(o.degree for o in orbits) == [1, 10, 110, 605]
-    M = divisor_matrix(G)
-    assert divisor_rank(M) == len(orbits) - 1
-    assert all(v == 0 for v in weighted_column_sums(M))
-    assert time.monotonic() - start < 10.0
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_split_cubed_at_paper_scale(p, monkeypatch):
+    # past the preset cap: p^2(p+1)/2 cusps from one cusp pass over the N(1 + 1/p) lines of
+    # P1(Z/N), N = p^3, where a map with an entry per vector class took 2.3 GB at 17^3
+    monkeypatch.setattr(modnt, "MAX_PRESET_MODULUS", p ** 3)
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        G = parse_preset(f"split:{p}^3")
+        assert len(enumerate_cusps(G)) == p * p * (p + 1) // 2
+        assert sl2_index(G) == p ** 5 * (p + 1) // 2
+        orbits = galois_orbits(G)
+        assert sorted(o.degree for o in orbits) == [1, p - 1, p * (p - 1), p * p * (p - 1) // 2]
+        M = divisor_matrix(G)
+        assert divisor_rank(M) == len(orbits) - 1 == 3
+        assert all(v == 0 for v in weighted_column_sums(M))
+        assert time.monotonic() - start < 10.0
+        assert tracemalloc.get_traced_memory()[1] < 100 * 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_degree_zero_and_weighted_relations():

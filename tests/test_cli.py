@@ -4,6 +4,7 @@ Every test drives `run(argv, out=...)` directly so exit codes are the
 function's return value, not shell pipeline status.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -306,3 +307,64 @@ def test_selftest_passes():
     rc, text = invoke(["selftest"])
     assert rc == 0
     assert "FAIL" not in text
+
+
+# ------------------------------------------------------- frozen JSON output
+
+_DIGEST_TEXTS = {
+    "text:gamma1:12": "N=12\n1 1 0 1\n1 0 0 5\n1 0 0 7\n",
+    "text:scalar5:13": "N=13\n1 1 0 1\n5 0 0 5\n",
+}
+_DIGEST_GROUPS = ["split:7^3", "nonsplit:7^2", "borel:3^4", "full:3^2", *_DIGEST_TEXTS]
+_DIGEST_PLAIN = [
+    ["selftest"],
+    ["verify-analytic", "--samples", "20", "--seed", "42"],
+    ["serre-check", "--p", "11,13,17", "--j", "5077"],
+    ["bound", "--theorem", "tbo", "--group", "split:7", "--s", "3"],
+    ["bound", "--theorem", "tspto", "--p", "13"],
+]
+# the first 16 hex digits of sha256 over the exit code, stdout and stderr of each argv
+_DIGESTS = {
+    "cusps --group split:7^3": "e5045c52fd2f867d",
+    "runge-unit --group split:7^3": "c7263876218168ed",
+    "bound --theorem th1 --group split:7^3": "22b26f453bbaee76",
+    "cusps --group nonsplit:7^2": "e173d6251f72c039",
+    "runge-unit --group nonsplit:7^2": "2c49fd4b565cc0f8",
+    "bound --theorem th1 --group nonsplit:7^2": "7bd410b8ff079762",
+    "cusps --group borel:3^4": "c48efa2b4f0d7e70",
+    "runge-unit --group borel:3^4": "2cf4b4fc663ca614",
+    "bound --theorem th1 --group borel:3^4": "e2eb7327d472cadd",
+    "cusps --group full:3^2": "a1b439630a168cf5",
+    "runge-unit --group full:3^2": "2c49fd4b565cc0f8",
+    "bound --theorem th1 --group full:3^2": "b99b16b63d1199e3",
+    "cusps --group text:gamma1:12": "4af54f9e3deb0b71",
+    "runge-unit --group text:gamma1:12": "c6b9e98ae0b56283",
+    "bound --theorem th1 --group text:gamma1:12": "84ff2ad64f1b6a74",
+    "cusps --group text:scalar5:13": "e7697f8908bf67b7",
+    "runge-unit --group text:scalar5:13": "e7697f8908bf67b7",
+    "bound --theorem th1 --group text:scalar5:13": "e7697f8908bf67b7",
+    "selftest": "ede9a050aad04814",
+    "verify-analytic --samples 20 --seed 42": "005842e115f6caa8",
+    "serre-check --p 11,13,17 --j 5077": "b1e40424f0456a6d",
+    "bound --theorem tbo --group split:7 --s 3": "ff9be729bd97a657",
+    "bound --theorem tspto --p 13": "7286248405497231",
+}
+
+
+def test_json_digests_frozen(tmp_path, capsys):
+    # byte-identical CLI JSON for a fixed argv: a change on purpose updates its digest here
+    argvs = {}
+    for group in _DIGEST_GROUPS:
+        path = group
+        if group in _DIGEST_TEXTS:
+            path = str(tmp_path / group.replace(":", "_"))
+            (tmp_path / group.replace(":", "_")).write_text(_DIGEST_TEXTS[group])
+        for cmd in (["cusps"], ["runge-unit"], ["bound", "--theorem", "th1"]):
+            argvs[" ".join(cmd + ["--group", group])] = cmd + ["--group", path]
+    argvs.update((" ".join(argv), argv) for argv in _DIGEST_PLAIN)
+    got = {}
+    for label, argv in argvs.items():
+        rc, text = invoke(argv + ["--format", "json"])
+        blob = f"{rc}\n{text}\n{capsys.readouterr().err}".encode()
+        got[label] = hashlib.sha256(blob).hexdigest()[:16]
+    assert got == _DIGESTS

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rungemod.cusps as cusps_mod
+from group_oracle import scan_sl2_lift
 from rungemod.cusps import (
     _classes,
     CuspOrbit,
@@ -113,18 +114,34 @@ def test_primitive_classes_match_brute_force():
         assert list(_classes(n)) == sorted(brute)
 
 
-def test_walk_lines_one_map_serves_every_orbit():
-    # the cusp pass walks its k-th orbit into one shared map at offset k*N;
-    # each walk must give what a walk into a fresh map gives
-    G = preset_subgroup("split_normalizer", 7, 2)
+@pytest.mark.parametrize("G", [
+    preset_subgroup("split_normalizer", 7, 2),
+    generate_subgroup(12, [(1, 1, 0, 1), (1, 0, 0, 5), (1, 0, 0, 7)]),  # composite, without -1
+    generate_subgroup(13, [(1, 1, 0, 1), (5, 0, 0, 5)]),  # only the scalars +/-1, +/-5
+], ids=["split:7^2", "gamma1:12", "scalar5:13"])
+def test_line_orbits_one_map_serves_every_orbit(G):
+    # the cusp pass walks its k-th orbit into one shared map of lines at offset k*N; the code
+    # of every class must be k*N + t, t the det of a word from the k-th seed up to the ratios
     n, lams = G.n, G.line_scalars(G.n)
-    codes = {}
-    for k, seed in enumerate(cusps_mod._orbit_seeds(n, codes)):
-        start, fresh = len(codes), {}
-        shared = cusps_mod._walk_lines(n, G.generators, lams, seed, codes, k * n)
-        assert shared == cusps_mod._walk_lines(n, G.generators, lams, seed, fresh)
-        assert list(codes.items())[start:] == [(w, k * n + t) for w, t in fresh.items()]
-    assert k > 0 and len(codes) == len(list(_classes(n)))
+    walks, code = cusps_mod._line_orbits(n, G.generators, lams)
+    covered = 0
+    for k, (lines, ratios) in enumerate(walks):
+        stab = {1}
+        for r in ratios:
+            stab |= {s * pow(r, e, n) % n for s in stab for e in range(n)}
+        classes = {canonical_class((lam * x, lam * y), n) for x, y in lines for lam in lams}
+        assert len(classes) == len(lines) * len(lams)  # a line never folds
+        assert code(*lines[0]) == k * n + 1
+        for x, y in classes:
+            t = code(x, y) - k * n
+            assert 0 < t < n and all(code(lam * x, lam * y) == k * n + lam * lam * t % n
+                                     for lam in lams)
+            for g in G.generators:
+                w = canonical_class((g[0] * x + g[1] * y, g[2] * x + g[3] * y), n)
+                assert w in classes
+                assert code(*w) - k * n in {t * mat_det(g, n) * s % n for s in stab}
+        covered += len(classes)
+    assert k > 0 and covered == len(list(_classes(n)))
 
 
 def test_lift_shape():
@@ -133,6 +150,19 @@ def test_lift_shape():
             lift = sl2_lift(v, n)
             assert (lift[0], lift[2]) == v
             assert mat_det(lift, n) == 1
+
+
+def test_lift_closed_form_matches_the_scan():
+    # the least b, then the least d, as a scan over b finds them; inputs negated and unreduced too
+    for n in range(2, 61):
+        for x, y in _classes(n):
+            for v in ((x, y), (-x, -y), (x + n, y - 3 * n)):
+                assert sl2_lift(v, n) == scan_sl2_lift(v, n)
+    for v, n in (((7, 14), 49), ((2, 4), 12), ((0, 0), 5), ((3, 9), 6)):
+        with pytest.raises(ValueError):
+            scan_sl2_lift(v, n)
+        with pytest.raises(ValueError):
+            sl2_lift(v, n)
 
 
 @pytest.mark.parametrize(
@@ -186,6 +216,18 @@ def test_cusp_containing():
     assert other != c_inf
     with pytest.raises(ValueError):
         cusp_containing(G, (0, 0))
+    # a nonzero vector that is not primitive has a P1 key all the same: it must still be refused
+    with pytest.raises(ValueError):
+        cusp_containing(preset_subgroup("split_normalizer", 7, 2), (7, 14))
+    gamma1_12 = generate_subgroup(12, [(1, 1, 0, 1), (1, 0, 0, 5), (1, 0, 0, 7)])
+    with pytest.raises(ValueError):
+        cusp_containing(gamma1_12, (2, 4))
+    # negative and unreduced primitive vectors give the cusp of their canonical class
+    for H in (G, gamma1_12, generate_subgroup(13, [(1, 1, 0, 1), (5, 0, 0, 5)])):
+        n = H.n
+        for x, y in [(1, 0), (-1, 0), (-2, 3), (5 + 2 * n, -7), (-n - 1, 4 * n + 1), (3, -3 * n - 5)]:
+            if gcd(x, y, n) == 1:
+                assert cusp_containing(H, (x, y)) == cusp_containing(H, canonical_class((x, y), n))
 
 
 def test_canonical_class():

@@ -159,15 +159,16 @@ def test_preset_generators_generate_the_element_set(kind, p, n):
 @example(30)
 @example(60)
 def test_line_key_is_a_point_of_p1(n):
-    # constant on each line {s*v}, and one key per point of P1(Z/n)
+    # constant on each line {s*v} with s scaling along, (x, y) = s*rep, and one key per point of P1(Z/n)
     key = modnt._line_key(n)
     units = [s for s in range(1, n) if gcd(s, n) == 1]
     keys = set()
     for x in range(n):
         for y in range(n):
             if gcd(x, y, n) == 1:
-                k = key(x, y)
-                assert all(key(s * x % n, s * y % n) == k for s in units)
+                k, s = key(x, y)
+                assert all(key(u * x % n, u * y % n) == (k, u * s % n) for u in units)
+                assert key(x * pow(s, -1, n) % n, y * pow(s, -1, n) % n) == (k, 1)  # the rep
                 keys.add(k)
     points = n
     for p in {p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}:
