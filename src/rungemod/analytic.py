@@ -9,8 +9,8 @@ integer multiples are exact, and a product floors its parts and its radius
 enclosures are endpoint intervals with floor/ceiling rounding.  Library
 kernels (exp, log, pi) are not proven correctly rounded, so every kernel
 output is padded by a 32-ulp cushion before it enters an enclosure.
-Verification routines return certified verdicts and escalate precision by
-doubling when a comparison is too close to call at the current width.
+Verdicts come from RealInterval.le (<=) and .lt (<), which raise Indeterminate
+when an enclosure straddles the threshold; verifiers then double the precision.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from mpmath.libmp import (
     from_int,
@@ -53,7 +53,7 @@ from mpmath.libmp import (
 from .cusps import CuspClass, cusp_containing
 from .errors import BoundViolated, Indeterminate, NotInPlusRegion, PrecisionExhausted
 from .modnt import SubgroupG
-from .units import TorsionIndex, bernoulli2, ell
+from .units import TorsionIndex, ell
 
 Mat = Tuple[int, int, int, int]
 MpfT = tuple
@@ -192,6 +192,23 @@ class RealInterval:
     def hi_fraction(self) -> Fraction:
         return _mpf_to_fraction(self.hi)
 
+    def le(self, t: Union[int, Fraction, "RealInterval"], why: str) -> bool:
+        """Certified self <= t: True when hi <= t, False when lo > t, else Indeterminate(why)."""
+        if isinstance(t, RealInterval):  # hi is compared with t.lo and lo with t.hi
+            d, lo, hi = fone, t.lo, t.hi
+        else:  # x <= n/d exactly when x*d <= n (d > 0), so a Fraction t is never rounded
+            d, lo, hi = from_int(t.denominator), from_int(t.numerator), from_int(t.numerator)
+        if mpf_cmp(mpf_mul(self.hi, d), lo) <= 0:
+            return True
+        if mpf_cmp(mpf_mul(self.lo, d), hi) > 0:
+            return False
+        raise Indeterminate(why)
+
+    def lt(self, t: Union[int, Fraction, "RealInterval"], why: str) -> bool:
+        """Certified self < t: True when hi < t, False when lo >= t, else Indeterminate(why)."""
+        # self < t exactly when not -self <= -t
+        return not self.neg().le(t.neg() if isinstance(t, RealInterval) else -t, why)
+
     def to_floats(self) -> Tuple[float, float]:
         """The endpoints as floats, rounded outward: lo down, hi up."""
         return to_float(self.lo, rnd="f"), to_float(self.hi, rnd="c")
@@ -202,15 +219,6 @@ def _pi_interval(prec: int) -> RealInterval:
     lo = _pad_dir(mpf_pi(prec, "f"), prec, up=False)
     hi = _pad_dir(mpf_pi(prec, "c"), prec, up=True)
     return RealInterval(lo, hi, prec)
-
-
-def _verdict(diff: RealInterval) -> Optional[bool]:
-    """True when diff >= 0 everywhere, False when diff < 0 everywhere."""
-    if mpf_cmp(diff.lo, fzero) >= 0:
-        return True
-    if mpf_cmp(diff.hi, fzero) < 0:
-        return False
-    return None
 
 
 @dataclass(frozen=True)
@@ -655,10 +663,8 @@ def _escalate(attempt: Callable[[int], T_], precision: int) -> T_:
 
 
 def _report(name: str, diff: RealInterval, prec: int) -> CheckReport:
-    v = _verdict(diff)
-    if v is None:
-        raise Indeterminate("comparison %s too close at %d bits" % (name, prec))
-    return CheckReport(name, v, to_float(diff.lo), prec)
+    holds = not diff.lt(0, "comparison %s too close at %d bits" % (name, prec))
+    return CheckReport(name, holds, to_float(diff.lo), prec)
 
 
 def verify_pqj(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> CheckReport:
@@ -667,10 +673,8 @@ def verify_pqj(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> Check
     def attempt(prec: int) -> CheckReport:
         wp = prec + 32
         u = tau.abs_q_interval(wp)
-        if u.lo_fraction() > Fraction(1, 200):
+        if not u.le(Fraction(1, 200), "cannot certify |q| <= 0.005"):
             raise ValueError("|q| exceeds 0.005; inequality not applicable")
-        if u.hi_fraction() > Fraction(1, 200):
-            raise Indeterminate("cannot certify |q| <= 0.005")
         j = eval_j(tau, prec)
         q = tau.q_ball(wp)
         lhs = j.sub(q.inverse()).sub(ErrorBall.from_int(744, wp)).abs_interval()
@@ -761,10 +765,8 @@ def _verify_smallj(a: TorsionIndex, tau: UpperHalfPoint, precision: int) -> Chec
 def _abs_j_above_2500(tau: UpperHalfPoint, prec: int) -> RealInterval:
     """|j(tau)|, certified > 2500; else NotInPlusRegion or Indeterminate."""
     aj = eval_j(tau, prec).abs_interval()
-    if aj.hi_fraction() <= 2500:
+    if aj.le(2500, "cannot certify |j| > 2500"):
         raise NotInPlusRegion("certified |j| <= 2500")
-    if aj.lo_fraction() <= 2500:
-        raise Indeterminate("cannot certify |j| > 2500")
     return aj
 
 
@@ -779,10 +781,7 @@ def verify_everysimple(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) 
         inv_qc = _pi_interval(wp).scale_fraction(2 * red.im).exp()
         hi_diff = aj.scale_fraction(Fraction(3, 2)).sub(inv_qc)
         lo_diff = inv_qc.sub(aj.scale_fraction(Fraction(1, 2)))
-        v_hi = _verdict(hi_diff)
-        v_lo = _verdict(lo_diff)
-        if v_hi is None or v_lo is None:
-            raise Indeterminate("two-sided comparison too close")
+        v_hi, v_lo = (not d.lt(0, "two-sided comparison too close") for d in (hi_diff, lo_diff))
         margin = min(to_float(hi_diff.lo), to_float(lo_diff.lo))
         return CheckReport("everysimple", v_hi and v_lo, margin, prec)
 
@@ -803,13 +802,10 @@ def nearest_cusp(G: SubgroupG, tau: UpperHalfPoint, precision: int = DEFAULT_PRE
 
     red, gamma = reduce_fundamental(tau)
 
-    def q_gate(prec: int) -> bool:
+    def q_gate(prec: int) -> None:
         qu = red.abs_q_interval(prec + 16)
-        if qu.hi_fraction() < Fraction(1, 1000):
-            return True
-        if qu.lo_fraction() >= Fraction(1, 1000):
+        if not qu.lt(Fraction(1, 1000), "cannot certify reduced |q| < 0.001"):
             raise BoundViolated("|j| > 2500 with reduced |q| >= 0.001")
-        raise Indeterminate("cannot certify reduced |q| < 0.001")
 
     _escalate(q_gate, precision)
 

@@ -3,14 +3,14 @@
 Every bound is evaluated two ways at once: as an exact rational whenever
 the formula is log-free, and always as a certified interval with round-up
 semantics (the .hi endpoint is a proven upper bound).  The checkers at the
-end chain the bounds together for the split Cartan application: height cap,
-isogeny degree cap, level cap, and the three-prime consistency test.
+end chain the bounds together for the split Cartan application (height cap,
+isogeny degree cap, level cap, three-prime test), deciding by RealInterval.le/lt.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .analytic import DEFAULT_PRECISION, RealInterval, _escalate
 from .cusps import galois_orbits
@@ -261,12 +261,12 @@ def pellarin_degree(d: int, h: Union[int, Fraction, RealInterval],
 
 
 def _max_with_one(iv: RealInterval) -> RealInterval:
-    one = RealInterval.from_fraction(Fraction(1), iv.prec)
-    if iv.lo_fraction() >= 1:
-        return iv
-    if iv.hi_fraction() <= 1:
-        return one
-    return RealInterval(lo=one.lo, hi=iv.hi, prec=iv.prec)
+    """The endpointwise max [max(lo, 1), max(hi, 1)]."""
+    one = RealInterval.from_int(1, iv.prec)
+    try:
+        return one if iv.lt(1, "interval straddles 1") else iv
+    except Indeterminate:
+        return RealInterval(one.lo, iv.hi, iv.prec)
 
 
 # ------------------------------------------------------------- level caps
@@ -424,12 +424,11 @@ def serre_check(p: int, j, precision: int = DEFAULT_PRECISION) -> SerreReport:
     h = height_rational(j, precision)
     # log|j| <= 23 p log p is, for integer j, the exact test |j| <= p^{23p};
     # decide by intervals first and fall back to the integer power
-    consistent = _verdict_leq(h, tspto.value_log)
-    if consistent is None:
+    try:
+        consistent = h.le(tspto.value_log, "height straddles the tspto cap")
+    except Indeterminate:
         consistent = abs(j) <= p ** (23 * p)
-    cap = split_cartan_level_cap(
-        lambda prec: height_rational(j, prec), precision
-    )
+    cap = split_cartan_level_cap(lambda prec: height_rational(j, prec), precision)
     return SerreReport(
         p=p,
         j=j,
@@ -439,14 +438,6 @@ def serre_check(p: int, j, precision: int = DEFAULT_PRECISION) -> SerreReport:
         level_cap=cap.cap,
         max_n=cap.max_n(p),
     )
-
-
-def _verdict_leq(a: RealInterval, b: RealInterval) -> Optional[bool]:
-    if a.hi_fraction() <= b.lo_fraction():
-        return True
-    if a.lo_fraction() > b.hi_fraction():
-        return False
-    return None
 
 
 @dataclass(frozen=True)
@@ -479,11 +470,7 @@ def three_prime_check(p: int, q: int, r: int, precision: int = DEFAULT_PRECISION
 
     def attempt(prec: int) -> Tuple[RealInterval, bool]:
         cap = _three_prime_cap_at(p, prec)
-        if product <= cap.lo_fraction():
-            return cap, True
-        if product > cap.hi_fraction():
-            return cap, False
-        raise Indeterminate("cap interval straddles pqr")
+        return cap, not cap.lt(product, "cap interval straddles pqr")
 
     cap, feasible = _escalate(attempt, precision)
     return ThreePrimeReport(p, q, r, product, cap, feasible)
@@ -497,16 +484,8 @@ def three_prime_threshold(precision: int = DEFAULT_PRECISION) -> int:
     """
 
     def rejected(m: int) -> bool:
-        def attempt(prec: int) -> bool:
-            cap = _three_prime_cap_at(m, prec)
-            cube = m ** 3
-            if cube > cap.hi_fraction():
-                return True
-            if cube <= cap.lo_fraction():
-                return False
-            raise Indeterminate("cap interval straddles m^3")
-
-        return _escalate(attempt, precision)
+        return _escalate(lambda prec: _three_prime_cap_at(m, prec).lt(m ** 3, "cap interval straddles m^3"),
+                         precision)
 
     lo, hi = 11, 10 ** 95
     if rejected(lo) or not rejected(hi):

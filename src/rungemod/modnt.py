@@ -77,6 +77,17 @@ def minus_identity_mat(n: int) -> Mat:
     return mat_reduce((-1, 0, 0, -1), n)
 
 
+def per_group(fn: Callable[..., T]) -> Callable[..., T]:
+    """Memoize fn(G, *args) in G's instance dict, freed with G: no value may refer back to G."""
+    @functools.wraps(fn)
+    def memo(G: SubgroupG, *args) -> T:
+        cache, key = G.__dict__.setdefault("_per_group", {}), (fn, *args)
+        if key not in cache:
+            cache[key] = fn(G, *args)
+        return cache[key]
+    return memo
+
+
 @dataclass(frozen=True)
 class SubgroupG:
     """A subgroup of GL2(Z/N), described by its generators.
@@ -98,6 +109,7 @@ class SubgroupG:
     contains_minus_one = property(lambda self: self.scalars[-1] == self.n - 1)
     contains_scalars = property(lambda self: len(self.scalars) == unit_count(self.n))
 
+    @per_group
     def line_scalars(self, m: int) -> Tuple[int, ...]:
         """The least of +/-s mod m for each scalar s, once each: a primitive w's line is {s*w}."""
         return tuple(sorted({min(s % m, -s % m) for s in self.scalars}))
@@ -124,17 +136,6 @@ class SubgroupG:
             for x0, x1, y0, y1 in cols
             for d, b0 in beta.items() for b in range(b0 % step, n, step)
         )
-
-
-def per_group(fn: Callable[..., T]) -> Callable[..., T]:
-    """Memoize fn(G, *args) in G's instance dict, freed with G: no value may refer back to G."""
-    @functools.wraps(fn)
-    def memo(G: SubgroupG, *args) -> T:
-        cache, key = G.__dict__.setdefault("_per_group", {}), (fn, *args)
-        if key not in cache:
-            cache[key] = fn(G, *args)
-        return cache[key]
-    return memo
 
 
 @dataclass(frozen=True)

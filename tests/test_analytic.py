@@ -149,6 +149,67 @@ def test_pi_interval_brackets_pi():
     assert Fraction(314159, 100000) < iv.lo_fraction() < iv.hi_fraction() < Fraction(314160, 100000)
 
 
+EPS = Fraction(1, 2 ** 20)
+
+
+def _iv(lo: Fraction, hi: Fraction) -> RealInterval:
+    return RealInterval(RealInterval.from_fraction(lo, 64).lo, RealInterval.from_fraction(hi, 64).hi, 64)
+
+
+@pytest.mark.parametrize(
+    "t", [0, 2500, Fraction(1, 1024), RealInterval.from_int(2500, 64)], ids=["0", "2500", "1/1024", "interval"]
+)
+def test_le_lt_tie_semantics(t):
+    v = t.lo_fraction() if isinstance(t, RealInterval) else Fraction(t)
+    # [t, t]: t <= t holds and t < t fails
+    assert _iv(v, v).le(t, "le") is True
+    assert _iv(v, v).lt(t, "lt") is False
+    # [t - eps, t]: every point is <= t, but not every point is < t
+    assert _iv(v - EPS, v).le(t, "le") is True
+    with pytest.raises(Indeterminate, match="^lt straddles$"):
+        _iv(v - EPS, v).lt(t, "lt straddles")
+    # [t, t + eps]: not every point is <= t, and none is < t
+    with pytest.raises(Indeterminate, match="^le straddles$"):
+        _iv(v, v + EPS).le(t, "le straddles")
+    assert _iv(v, v + EPS).lt(t, "lt") is False
+    # clear of t on either side
+    assert _iv(v - 2 * EPS, v - EPS).lt(t, "lt") is True
+    assert _iv(v + EPS, v + 2 * EPS).le(t, "le") is False
+
+
+def test_le_lt_against_a_wide_interval():
+    # hi is compared with t.lo and lo with t.hi
+    t = _iv(Fraction(1), 1 + EPS)
+    assert _iv(Fraction(1), Fraction(1)).le(t, "le") is True
+    assert _iv(1 + EPS, 1 + EPS).lt(t, "lt") is False
+    with pytest.raises(Indeterminate):
+        _iv(1 + EPS, 1 + EPS).le(t, "le")
+    with pytest.raises(Indeterminate):
+        _iv(Fraction(1), Fraction(1)).lt(t, "lt")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-12, 12), st.sampled_from([1, 3, 8]))
+def test_le_lt_agree_with_exact_comparison(a, b, k, den):
+    # every form of t decides as exact Fraction comparisons of the endpoints do
+    lo, hi = sorted((Fraction(a, 8), Fraction(b, 8)))
+    iv, v = _iv(lo, hi), Fraction(k, den)
+    forms = [v, RealInterval.from_fraction(v, 64)] + ([k] if den == 1 else [])
+    for strict in (False, True):
+        below = (lambda x: x < v) if strict else (lambda x: x <= v)
+        want = True if below(hi) else (False if not below(lo) else None)
+        for t in forms:
+            try:
+                got = iv.lt(t, "undecided") if strict else iv.le(t, "undecided")
+            except Indeterminate:
+                got = None
+            assert got is want
+
+
+def test_report_holds_on_an_exact_zero():
+    assert analytic._report("x", RealInterval.from_int(0, 128), 128).holds is True
+
+
 # ------------------------------------------------------------------- balls
 
 

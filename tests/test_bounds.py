@@ -4,7 +4,6 @@ Log-bearing values are checked by containment against high-precision
 mpmath oracles; log-free values must come out as exact rationals.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -434,6 +433,12 @@ def test_three_prime_threshold_boundary():
 
     assert thr ** 3 > _three_prime_cap_at(thr, 512).hi_fraction()
     assert (thr - 1) ** 3 <= _three_prime_cap_at(thr - 1, 512).lo_fraction()
+
+
+def test_three_prime_check_cap_equal_to_pqr_is_feasible(monkeypatch):
+    # pqr <= cap holds when the cap is exactly pqr
+    monkeypatch.setattr(bounds, "_three_prime_cap_at", lambda m, prec: RealInterval.from_int(11 * 13 * 17, prec))
+    assert three_prime_check(11, 13, 17).feasible is True
 
 
 def test_three_prime_threshold_unbracketed_cap_is_caught(monkeypatch):

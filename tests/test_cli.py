@@ -7,7 +7,6 @@ function's return value, not shell pipeline status.
 import hashlib
 import json
 import math
-import os
 import time
 from decimal import Decimal
 from fractions import Fraction

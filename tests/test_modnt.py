@@ -255,6 +255,13 @@ def test_det_image_is_built_once_per_group(monkeypatch):
     assert det_image(G).is_full and len(built) == 1
 
 
+def test_line_scalars_are_built_once_per_group():
+    # the cusp pass, the orbits, the trace rows and the columns all ask for them
+    G = preset_subgroup("split_normalizer", 7)
+    assert G.line_scalars(G.n) is G.line_scalars(G.n)
+    assert G.line_scalars(G.n) == tuple(sorted({min(s, G.n - s) for s in G.scalars}))
+
+
 def test_preset_self_checks_raise_bound_violated(monkeypatch):
     # a wrong phi makes the closed form disagree with the chain order
     monkeypatch.setattr(modnt, "unit_count", lambda n: n)

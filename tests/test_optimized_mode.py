@@ -1,4 +1,7 @@
-"""The library keeps its checks under python -O: no assert statements, and a passing selftest."""
+"""The library keeps its checks under python -O: no assert statements, and a passing selftest.
+
+Also static hygiene of the library source: no group-keyed module caches, no unused imports.
+"""
 
 import ast
 import glob
@@ -39,6 +42,25 @@ def test_no_functools_cache_takes_a_group():
                     for a in params):
                 found.append("%s:%s" % (os.path.basename(path), node.name))
     assert found == []
+
+
+def test_library_imports_are_used():
+    # every imported name is read in its module; the package's __all__ reads its re-exports
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC, "rungemod", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (os.path.basename(path), line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_selftest_passes_under_python_O():
