@@ -1,13 +1,13 @@
 """Certified evaluation of j and Siegel functions over the upper half plane.
 
 Complex arithmetic is midpoint-radius (ErrorBall) on raw mpmath.libmp
-mantissa-exponent tuples, except in the q-series loops of eval_j and
-eval_siegel.  Those run on fixed-point balls (re, im, rad) of ints in units
-of 2^-w, w >= wp + 16, with the rounding error counted in ulps: sums and
-integer multiples are exact, and a product floors its parts and its radius
-((|xr|+|xi|) ry + (|yr|+|yi|) rx + rx ry) 2^-w, then adds 3 ulp.  Real
-enclosures are endpoint intervals with floor/ceiling rounding.  Library
-kernels (exp, log, pi) are not proven correctly rounded, so every kernel
+mantissa-exponent tuples, except that the q-series loops and eval_j's powers
+run on fixed-point balls (re, im, rad) of ints in units of 2^-w, w >= wp + 16,
+with the rounding error counted in ulps: sums and integer multiples are exact,
+and a product floors its parts and its radius ((|xr|+|xi|) ry + (|yr|+|yi|) rx
++ rx ry) 2^-w, then adds 3 ulp.  Real enclosures are endpoint intervals with
+floor/ceiling rounding (a rational scale n/d is exact in n, one rounding in d).
+Library kernels (exp, log, pi) are not proven correctly rounded, so every kernel
 output is padded by a 32-ulp cushion before it enters an enclosure.
 Verdicts come from RealInterval.le (<=) and .lt (<), which raise Indeterminate
 when an enclosure straddles the threshold; verifiers then double the precision.
@@ -157,7 +157,10 @@ class RealInterval:
         return RealInterval(lo, hi, p)
 
     def scale_fraction(self, fr: Fraction) -> "RealInterval":
-        return self.mul(RealInterval.from_fraction(Fraction(fr), self.prec))
+        """self * fr for an int or Fraction fr: each end is end * n (exact), then / d rounded outward."""
+        p, n, d = self.prec, from_int(fr.numerator), from_int(fr.denominator)
+        lo, hi = (self.lo, self.hi) if fr >= 0 else (self.hi, self.lo)
+        return RealInterval(mpf_div(mpf_mul(lo, n), d, p, "f"), mpf_div(mpf_mul(hi, n), d, p, "c"), p)
 
     def add_fraction(self, fr: Fraction) -> "RealInterval":
         return self.add(RealInterval.from_fraction(Fraction(fr), self.prec))
@@ -559,13 +562,14 @@ def eval_j(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall
     j = A^3 / D with A = 1 + 240 sum sigma_3(n) q^n and D = q prod (1-q^n)^24;
     the point is first reduced so |q| <= e^{-pi sqrt 3} and tails are cut
     against 2^-(precision+16).  One loop over the fixed-point powers q^n
-    sums A and multiplies out the product; the 24th and 3rd powers and the
-    division, where j can be large, run on ErrorBall.
+    sums A and multiplies out the product P; A^3 and P^24 are taken on the
+    same fixed-point balls (|A| < 3 and |P| < 2 there).  Only the division,
+    where j can be large, and the tail slack run on ErrorBall.
     """
     red, _ = reduce_fundamental(tau)
     wp = precision + 32
     q = red.q_ball(wp)
-    u_hi = red.abs_q_interval(wp).hi_fraction()
+    u_hi = q.abs_interval().hi_fraction()
     if u_hi >= Fraction(1, 32):
         raise Indeterminate("reduced |q| enclosure too wide")
     target = Fraction(1, 2 ** (precision + 16))
@@ -585,13 +589,16 @@ def eval_j(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall
         if n <= T:
             prod = _fx_mul(prod, (one - qpow[0], -qpow[1], qpow[2]), w)
         qpow = _fx_mul(qpow, qf, w)
-    a_ball = _fx_ball(acc, w, wp).add_error(_fraction_to_mpf(a_tail, _RAD_PREC, "u"))
-    d_ball = q.mul(_fx_ball(prod, w, wp).pow_int(24))
-    # the discarded factors lie in exp(v), |v| <= eps
+    # the tail of A adds a_tail to the radius, in ulps rounded up
+    acc = (acc[0], acc[1], acc[2] - ((-a_tail.numerator << w) // a_tail.denominator))
+    a3 = _fx_mul(_fx_mul(acc, acc, w), acc, w)
+    p24 = _fx_mul(_fx_mul(prod, prod, w), prod, w)
+    for _ in range(3):
+        p24 = _fx_mul(p24, p24, w)
+    j = _fx_ball(a3, w, wp).div(q.mul(_fx_ball(p24, w, wp)))
+    # D's discarded factors are exp(v), |v| <= eps, so j carries exp(-v), |exp(-v) - 1| <= eps (1 + eps)
     slack = _fraction_to_mpf(eps * (1 + eps), _RAD_PREC, "u")
-    d_ball = d_ball.mul(ErrorBall(fone, fzero, slack, wp))
-
-    return a_ball.pow_int(3).div(d_ball)
+    return j.mul(ErrorBall(fone, fzero, slack, wp))
 
 
 def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> ErrorBall:
@@ -599,6 +606,7 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
 
     Product form: -q^{B2(a1/n)/2} e(a2(a1/n-1)/2) (1-q_z)
     prod_{n>=1} (1-q^n q_z)(1-q^n/q_z), truncated with a certified tail.
+    Three exponentials: q, q_z and the prefactor times the phase (one e(u+v)).
     The product runs on fixed-point balls.  Its running powers q^k q_z and
     q^k/q_z start from ErrorBall products and step by q, so they stay <= 1
     and the fixed format never meets 1/q_z, which can reach e^{2 pi y a1/n}.
@@ -610,20 +618,18 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
     a2 = Fraction(a.a2, n)
     x, y = tau.re, tau.im
 
-    u_hi = tau.abs_q_interval(wp).hi_fraction()
+    q = _exp_2pii(x, y, wp)
+    u_hi = q.abs_interval().hi_fraction()
     target = Fraction(1, 2 ** (precision + 16))
     # factors beyond T contribute exp(v) with
     # |v| <= 1.1 (u^{T+1} + u^T)/(1-u) <= 2.2 u^T/(1-u), each |z| <= u^T <= 1/10
     T, eps = _tail_cut_geometric(u_hi, Fraction(22, 10), target)
 
-    q = _exp_2pii(x, y, wp)
-    pref = _exp_2pii(ell(a) * x, ell(a) * y, wp)
-    phase = _exp_2pii(a2 * (alpha - 1) / 2, Fraction(0), wp)
+    pref = _exp_2pii(ell(a) * x + a2 * (alpha - 1) / 2, ell(a) * y, wp)
     qz = _exp_2pii(alpha * x + a2, alpha * y, wp)
-    qz_inv = _exp_2pii(-(alpha * x + a2), -alpha * y, wp)
 
     one = 1 << w
-    qf, up, down, z = _fx(q, w), _fx(q.mul(qz), w), _fx(q.mul(qz_inv), w), _fx(qz, w)
+    qf, up, down, z = _fx(q, w), _fx(q.mul(qz), w), _fx(q.mul(qz.inverse()), w), _fx(qz, w)
     prod = (one - z[0], -z[1], z[2])
     for _ in range(T):
         prod = _fx_mul(prod, (one - up[0], -up[1], up[2]), w)
@@ -632,7 +638,7 @@ def eval_siegel(a: TorsionIndex, tau: UpperHalfPoint, precision: int = DEFAULT_P
     slack = _fraction_to_mpf(eps * (1 + eps), _RAD_PREC, "u")
     prod = _fx_ball(prod, w, wp).mul(ErrorBall(fone, fzero, slack, wp))
 
-    return pref.mul(phase).mul(prod).neg()
+    return pref.mul(prod).neg()
 
 
 @dataclass(frozen=True)
@@ -641,7 +647,7 @@ class CheckReport:
 
     name: str
     holds: bool
-    margin: float
+    margin: float  # rounded down: a certified lower bound on the slack
     precision: int
 
 
@@ -664,7 +670,7 @@ def _escalate(attempt: Callable[[int], T_], precision: int) -> T_:
 
 def _report(name: str, diff: RealInterval, prec: int) -> CheckReport:
     holds = not diff.lt(0, "comparison %s too close at %d bits" % (name, prec))
-    return CheckReport(name, holds, to_float(diff.lo), prec)
+    return CheckReport(name, holds, to_float(diff.lo, rnd="f"), prec)
 
 
 def verify_pqj(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) -> CheckReport:
@@ -694,10 +700,10 @@ def _cdplus_report(tau: UpperHalfPoint, precision: int) -> CheckReport:
         slack_j = Fraction(2500) - aj.hi_fraction()
         slack_q = Fraction(1, 1000) - qu.hi_fraction()
         if slack_j >= 0 or slack_q > 0:
-            return CheckReport("cdplus", True, float(max(slack_j, slack_q)), prec)
+            return CheckReport("cdplus", True, to_float(_fraction_to_mpf(max(slack_j, slack_q), 53, "f")), prec)
         if aj.lo_fraction() > 2500 and qu.lo_fraction() >= Fraction(1, 1000):
             worst = max(Fraction(2500) - aj.lo_fraction(), Fraction(1, 1000) - qu.lo_fraction())
-            return CheckReport("cdplus", False, float(worst), prec)
+            return CheckReport("cdplus", False, to_float(_fraction_to_mpf(worst, 53, "f")), prec)
         raise Indeterminate("dichotomy straddles both thresholds")
 
     return _escalate(attempt, precision)
@@ -782,7 +788,7 @@ def verify_everysimple(tau: UpperHalfPoint, precision: int = DEFAULT_PRECISION) 
         hi_diff = aj.scale_fraction(Fraction(3, 2)).sub(inv_qc)
         lo_diff = inv_qc.sub(aj.scale_fraction(Fraction(1, 2)))
         v_hi, v_lo = (not d.lt(0, "two-sided comparison too close") for d in (hi_diff, lo_diff))
-        margin = min(to_float(hi_diff.lo), to_float(lo_diff.lo))
+        margin = min(to_float(hi_diff.lo, rnd="f"), to_float(lo_diff.lo, rnd="f"))
         return CheckReport("everysimple", v_hi and v_lo, margin, prec)
 
     return _escalate(attempt, precision)

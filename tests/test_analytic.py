@@ -135,6 +135,39 @@ def test_interval_exp_log_contain_oracle(a):
         assert interval_contains(lg, want)
 
 
+def round_at(v: Fraction, prec: int, up: bool) -> Fraction:
+    """v rounded down (or up) to a prec-bit dyadic, in exact arithmetic."""
+    if v == 0:
+        return v
+    e = abs(v).numerator.bit_length() - abs(v).denominator.bit_length()
+    if Fraction(2) ** e > abs(v):
+        e -= 1
+    unit = Fraction(2) ** (e + 1 - prec)  # 2^(prec-1) <= |v| / unit < 2^prec
+    k = v / unit
+    return (-(-k.numerator // k.denominator) if up else k.numerator // k.denominator) * unit
+
+
+# endpoints with up to 200-bit mantissas, so that even an integer scale must round
+interval_ends = st.builds(from_man_exp, st.integers(-(1 << 200), 1 << 200), st.integers(-300, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([53, 64, 160]),
+    interval_ends,
+    interval_ends,
+    st.one_of(st.just(0), st.integers(-1000, 1000), st.fractions(-100, 100, max_denominator=10 ** 9)),
+)
+def test_scale_fraction_is_exact_and_tight(prec, a, b, fr):
+    # each end is the exact end * fr, rounded outward once at prec bits
+    exact = analytic._mpf_to_fraction
+    lo, hi = sorted((a, b), key=exact)
+    got = RealInterval(lo, hi, prec).scale_fraction(fr)
+    ends = sorted((exact(lo) * fr, exact(hi) * fr))
+    assert got.lo_fraction() == round_at(ends[0], prec, up=False)
+    assert got.hi_fraction() == round_at(ends[1], prec, up=True)
+
+
 def test_interval_log_rejects_zero():
     iv = RealInterval.from_fraction(Fraction(0), 64)
     with pytest.raises(Indeterminate):
@@ -208,6 +241,23 @@ def test_le_lt_agree_with_exact_comparison(a, b, k, den):
 
 def test_report_holds_on_an_exact_zero():
     assert analytic._report("x", RealInterval.from_int(0, 128), 128).holds is True
+
+
+def test_report_margin_is_rounded_down():
+    # lo = -(1 + 2^-70) is not a float; rounding toward zero would print -1.0, above it
+    lo = from_man_exp(-((1 << 70) + 1), -70)
+    rep = analytic._report("x", RealInterval(lo, lo, 128), 128)
+    assert rep.holds is False
+    assert Fraction(rep.margin) <= analytic._mpf_to_fraction(lo)
+
+
+def test_cdplus_margin_is_rounded_down(monkeypatch):
+    # |j| = 2499 + 2^-60 exactly, so the margin is the slack 1 - 2^-60, which rounds to nearest as 1.0
+    j = ErrorBall(from_man_exp((2499 << 60) + 1, -60), analytic.fzero, analytic.fzero, 160)
+    monkeypatch.setattr(analytic, "eval_j", lambda tau, prec: j)
+    rep = analytic._cdplus_report(UpperHalfPoint(Fraction(0), Fraction(1)), 128)
+    assert rep.holds is True
+    assert Fraction(rep.margin) <= 1 - Fraction(1, 2 ** 60)
 
 
 # ------------------------------------------------------------------- balls
@@ -382,11 +432,15 @@ def assert_contains(fixed, ball, w: int):
 
 @pytest.mark.parametrize("x, y", [(Fraction(-1, 2), Fraction(8661, 10000)), (Fraction(3, 10), Fraction(13, 10))])
 def test_j_loop_contains_exact_ball_series(monkeypatch, x, y):
-    calls = spy(monkeypatch, "_fx", "_fx_ball", "_tail_cut_e4", "_tail_cut_geometric")
+    calls = spy(monkeypatch, "_fx", "_fx_mul", "_fx_ball", "_tail_cut_e4", "_tail_cut_geometric")
     eval_j(UpperHalfPoint(x, y), precision=128)
     [(_, (_, w), qf)] = [c for c in calls if c[0] == "_fx"]
-    acc, prod = [c[1][0] for c in calls if c[0] == "_fx_ball"]
-    [m], [T] = [[c[2][0] for c in calls if c[0] == name] for name in ("_tail_cut_e4", "_tail_cut_geometric")]
+    # after the loop, _fx_mul forms A^2, A^3, P^2, P^3, P^6, P^12 and P^24 in that order
+    muls = [c[1] for c in calls if c[0] == "_fx_mul"][-7:]
+    acc_tail, prod = muls[0][0], muls[2][0]
+    a3, p24 = [c[1][0] for c in calls if c[0] == "_fx_ball"]
+    [(m, a_tail)] = [c[2] for c in calls if c[0] == "_tail_cut_e4"]
+    [(T, _)] = [c[2] for c in calls if c[0] == "_tail_cut_geometric"]
     sig3 = _sigma3_prefix(m)
     q = qpow = exact_ball(qf, w)
     a_sum, p_prod = (Fraction(1), Fraction(0), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))
@@ -397,8 +451,18 @@ def test_j_loop_contains_exact_ball_series(monkeypatch, x, y):
         if n <= T:
             p_prod = exact_mul(p_prod, one_minus(qpow))
         qpow = exact_mul(qpow, q)
+    # the loop's acc is acc_tail less the tail of A, in ulps rounded up
+    acc = acc_tail[:2] + (acc_tail[2] + ((-a_tail.numerator << w) // a_tail.denominator),)
+    assert Fraction(acc_tail[2] - acc[2], 1 << w) >= a_tail
     assert_contains(acc, a_sum, w)
     assert_contains(prod, p_prod, w)
+    a = exact_ball(acc_tail, w)
+    assert_contains(a3, exact_mul(exact_mul(a, a), a), w)
+    p = exact_ball(prod, w)
+    p_pow = exact_mul(exact_mul(p, p), p)
+    for _ in range(3):
+        p_pow = exact_mul(p_pow, p_pow)
+    assert_contains(p24, p_pow, w)
 
 
 @pytest.mark.parametrize(
@@ -423,6 +487,30 @@ def test_siegel_loop_contains_exact_ball_product(monkeypatch, a, x, y):
         p_prod = exact_mul(exact_mul(p_prod, one_minus(up)), one_minus(down))
         up, down = exact_mul(up, q), exact_mul(down, q)
     assert_contains(prod, p_prod, w)
+
+
+def test_evaluations_compute_each_exponential_once(monkeypatch):
+    # eval_siegel takes q, the prefactor with its phase, and q_z; 1/q_z is an inverse.
+    # Neither evaluation recomputes |q| through abs_q_interval, nor takes ErrorBall.pow_int.
+    counts = {"_exp_2pii": 0, "abs_q_interval": 0, "pow_int": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(analytic, "_exp_2pii")
+    counting(UpperHalfPoint, "abs_q_interval")
+    counting(ErrorBall, "pow_int")
+    for a in (TorsionIndex(7, 2, 3), TorsionIndex(5, 0, 2)):
+        eval_siegel(a, UpperHalfPoint(Fraction(37, 100), Fraction(9, 10)), 128)
+    assert counts == {"_exp_2pii": 6, "abs_q_interval": 0, "pow_int": 0}
+    eval_j(UpperHalfPoint(Fraction(3, 10), Fraction(13, 10)), 128)
+    assert counts == {"_exp_2pii": 7, "abs_q_interval": 0, "pow_int": 0}
 
 
 def test_exp_2pii_special_points():

@@ -342,7 +342,7 @@ _DIGESTS = {
     "cusps --group text:scalar5:13": "e7697f8908bf67b7",
     "runge-unit --group text:scalar5:13": "e7697f8908bf67b7",
     "bound --theorem th1 --group text:scalar5:13": "e7697f8908bf67b7",
-    "selftest": "ede9a050aad04814",
+    "selftest": "ea31a4381cda8346",  # j(i) radius 4.68e-42 -> 4.56e-42
     "verify-analytic --samples 20 --seed 42": "005842e115f6caa8",
     "serre-check --p 11,13,17 --j 5077": "b1e40424f0456a6d",
     "bound --theorem tbo --group split:7 --s 3": "ff9be729bd97a657",
